@@ -18,7 +18,7 @@ SITE_SHARE_PCT = 20  # sites with > 20% of the reads become responders
 
 @dataclass(slots=True)
 class FailureDetector:
-    """Per-peer heartbeat deadlines with fixed per-peer randomization.
+    """Per-peer heartbeat timeouts with fixed per-peer randomization.
 
     Jitter factors are drawn once at construction so the node core stays a
     pure function of its inputs.
@@ -30,7 +30,6 @@ class FailureDetector:
     jitter: float
     seed: int
     factors: dict[NodeId, float] = field(default_factory=dict)
-    deadlines: dict[NodeId, int] = field(default_factory=dict)
     down: set[NodeId] = field(default_factory=set)
 
     def __post_init__(self) -> None:
@@ -45,9 +44,7 @@ class FailureDetector:
     def refresh(self, peer: NodeId, now: int) -> int:
         """New deadline for `peer`; also clears any down mark."""
         self.down.discard(peer)
-        dl = now + self.timeout_for(peer)
-        self.deadlines[peer] = dl
-        return dl
+        return now + self.timeout_for(peer)
 
     def expire(self, peer: NodeId) -> bool:
         """Returns True if the peer just transitioned to down."""
@@ -82,7 +79,6 @@ class PeerRosterView:
 class KeyStats:
     """Per-key read/write counters grouped by the clients' preferred server."""
 
-    window_start: int = 0
     # key -> site -> [reads, writes]
     counts: dict[bytes, dict[int, list[int]]] = field(default_factory=dict)
 
@@ -105,9 +101,8 @@ class KeyStats:
             cell[0] += r
             cell[1] += w
 
-    def reset(self, now: int) -> None:
+    def reset(self) -> None:
         self.counts.clear()
-        self.window_start = now
 
 
 def responder_choice(stats_for_key: dict[int, list[int]]) -> frozenset[NodeId] | None:

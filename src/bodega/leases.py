@@ -6,10 +6,10 @@ absolute instants on the owning node's local clock; bounded clock drift is a
 property of the clock source, not of this module.
 
 Timer policy per peer:
-  grantor:  guarding = send + t_guard + t_delta
-            endowing = guard-reply receipt + t_guard + t_lease + t_delta,
+  grantor:  guarding = send + t_lease + t_delta
+            endowing = guard-reply receipt + 2 * t_lease + t_delta,
                        then renew send / renew-reply receipt + t_lease + t_delta
-  grantee:  guarded  = guard receipt + t_guard - t_delta
+  grantee:  guarded  = guard receipt + t_lease - t_delta
             endowed  = renew receipt + t_lease - t_delta
 
 The grantee side always expires no later than the grantor side, which is what
@@ -42,7 +42,6 @@ class LeaseEngine:
     guarded: dict[NodeId, int] = field(default_factory=dict)
     endowed: dict[NodeId, int] = field(default_factory=dict)
     thresh: dict[NodeId, int] = field(default_factory=dict)
-    first_renew_acked: dict[NodeId, bool] = field(default_factory=dict)
     unreplied_renew: set[NodeId] = field(default_factory=set)
     # revocation in progress: the old ballot and the peers we must hear from
     revoking: Ballot | None = None
@@ -78,13 +77,13 @@ class LeaseEngine:
         guard = Guard(bal, my_thresh)
         for p in range(self.cfg.n):
             out += self._drop("endowing", p)
-            out.append(self._arm("guarding", p, now + self.cfg.t_guard + self.cfg.t_delta))
+            out.append(self._arm("guarding", p, now + self.cfg.t_lease + self.cfg.t_delta))
             out.append(Send(p, guard))
         return out
 
     def reguard(self, bal: Ballot, peer: NodeId, my_thresh: int, now: int) -> list[Output]:
         out: list[Output] = self._drop("endowing", peer)
-        out.append(self._arm("guarding", peer, now + self.cfg.t_guard + self.cfg.t_delta))
+        out.append(self._arm("guarding", peer, now + self.cfg.t_lease + self.cfg.t_delta))
         out.append(Send(peer, Guard(bal, my_thresh)))
         return out
 
@@ -95,7 +94,7 @@ class LeaseEngine:
             return []
         self.thresh[frm] = thresh
         self._mth = None
-        out = [self._arm("guarded", frm, now + self.cfg.t_guard - self.cfg.t_delta)]
+        out = [self._arm("guarded", frm, now + self.cfg.t_lease - self.cfg.t_delta)]
         out.append(Send(frm, GuardReply(bal)))
         return out
 
@@ -105,9 +104,8 @@ class LeaseEngine:
         out = self._drop("guarding", frm)
         out.append(self._arm(
             "endowing", frm,
-            now + self.cfg.t_guard + self.cfg.t_lease + self.cfg.t_delta,
+            now + 2 * self.cfg.t_lease + self.cfg.t_delta,
         ))
-        self.first_renew_acked[frm] = False
         # the first renew goes out immediately so the lease activates within
         # the same round; later refreshes ride heartbeats
         out.append(Send(frm, Renew(bal)))
@@ -129,7 +127,6 @@ class LeaseEngine:
     def on_renew_reply(self, frm: NodeId, bal: Ballot, cur_bal: Ballot, now: int) -> list[Output]:
         if bal != cur_bal or frm not in self.endowing:
             return []
-        self.first_renew_acked[frm] = True
         return [self._arm("endowing", frm, now + self.cfg.t_lease + self.cfg.t_delta)]
 
     # ------------------------------------------------------------ revocation
@@ -238,7 +235,6 @@ class LeaseEngine:
                 out += self._drop(intent, p)
         self.thresh.clear()
         self._mth = None
-        self.first_renew_acked.clear()
         self.unreplied_renew.clear()
         self.revoking = None
         self.revoke_waiting = set()

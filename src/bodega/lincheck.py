@@ -112,7 +112,8 @@ _STATE_BUDGET = 500_000
 
 
 def _check_register(ops: list[HistOp]) -> bool:
-    """Register linearizability via backtracking over the next linearized op.
+    """Register linearizability via depth-first search over the next
+    linearized op.
 
     State: (set of linearized ops, current register value). An op is
     eligible next if no other un-linearized op responded before it was
@@ -141,34 +142,40 @@ def _check_register(ops: list[HistOp]) -> bool:
     by_resp = sorted(range(n), key=lambda i: (ops[i].resp, i))
     resp_at = [ops[i].resp for i in by_resp]
     seen: set[tuple[int, str | None]] = set()
-
-    def search(done: int, value: str | None, lo: int, rlo: int) -> bool:
+    # Depth-first over states, one frame per state on the current path:
+    # [done, value, lo, rlo, min pending response, next candidate op]. An
+    # explicit stack, since a path is as deep as the history is long.
+    stack: list[list] = []
+    done, value, lo, rlo = 0, None, 0, 0
+    while True:
         if done & complete == complete:
             return True
         state = (done, value)
-        if state in seen:
-            return False
-        if len(seen) > _STATE_BUDGET:
-            raise SearchBudgetExceeded(f"{len(seen)} states explored")
-        seen.add(state)
-        while done >> lo & 1:
-            lo += 1
-        while done >> by_resp[rlo] & 1:
-            rlo += 1
-        min_resp = resp_at[rlo]
-        for i in range(lo, n):
-            if invoke[i] > min_resp:
+        if state not in seen:
+            if len(seen) > _STATE_BUDGET:
+                raise SearchBudgetExceeded(f"{len(seen)} states explored")
+            seen.add(state)
+            while done >> lo & 1:
+                lo += 1
+            while done >> by_resp[rlo] & 1:
+                rlo += 1
+            stack.append([done, value, lo, rlo, resp_at[rlo], lo])
+        # the next unexplored successor of the deepest open state
+        while stack:
+            frame = stack[-1]
+            done, value, lo, rlo, min_resp, i = frame
+            while i < n and invoke[i] <= min_resp and (
+                    done >> i & 1 or not (is_put[i] or value_of[i] == value)):
+                i += 1
+            if i < n and invoke[i] <= min_resp:
+                frame[5] = i + 1
+                done |= 1 << i
+                if is_put[i]:
+                    value = value_of[i]
                 break
-            if done >> i & 1:
-                continue
-            if is_put[i]:
-                if search(done | 1 << i, value_of[i], lo, rlo):
-                    return True
-            elif value_of[i] == value and search(done | 1 << i, value, lo, rlo):
-                return True
-        return False
-
-    return search(0, None, 0, 0)
+            stack.pop()
+        else:
+            return False
 
 
 def _minimize(ops: list[HistOp]) -> tuple[HistOp, ...]:

@@ -44,9 +44,6 @@ class LogSlot:
                 found = True
         return val if found else None
 
-    def writes_key(self, key: bytes) -> bool:
-        return any(c.is_write() and c.key == key for c in self.batch)
-
 
 @dataclass(slots=True)
 class ConsensusLog:

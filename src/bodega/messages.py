@@ -10,23 +10,6 @@ from dataclasses import dataclass, fields
 from .model import Ballot, Command, Roster
 
 
-def _cmd_to_wire(c: Command) -> dict:
-    d = {"kind": c.kind, "key": c.key.decode("latin-1"), "request_id": c.request_id}
-    if c.value is not None:
-        d["value"] = c.value.decode("latin-1")
-    return d
-
-
-def _cmd_from_wire(d: dict) -> Command:
-    v = d.get("value")
-    return Command(
-        kind=d["kind"],
-        key=d["key"].encode("latin-1"),
-        value=None if v is None else v.encode("latin-1"),
-        request_id=d.get("request_id", ""),
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class Msg:
     pass
@@ -236,7 +219,7 @@ def _enc(v):
     if isinstance(v, Roster):
         return {"_r": v.to_wire()}
     if isinstance(v, Command):
-        return {"_c": _cmd_to_wire(v)}
+        return {"_c": v.to_wire()}
     if isinstance(v, bytes):
         return {"_y": v.decode("latin-1")}
     if isinstance(v, (tuple, list)):
@@ -253,7 +236,7 @@ def _dec(v):
         if "_r" in v:
             return Roster.from_wire(v["_r"])
         if "_c" in v:
-            return _cmd_from_wire(v["_c"])
+            return Command.from_wire(v["_c"])
         if "_y" in v:
             return v["_y"].encode("latin-1")
         return v

@@ -22,9 +22,6 @@ class Ballot:
     round: int
     node: NodeId
 
-    def next(self, proposer: NodeId) -> "Ballot":
-        return Ballot(self.round + 1, proposer)
-
     def to_wire(self) -> list[int]:
         return [self.round, self.node]
 
@@ -52,6 +49,19 @@ class Command:
 
     def is_write(self) -> bool:
         return self.kind == "put"
+
+    def to_wire(self) -> dict:
+        """JSON form; `value` is present only when set (puts)."""
+        d = {"kind": self.kind, "key": self.key.decode("latin-1"), "request_id": self.request_id}
+        if self.value is not None:
+            d["value"] = self.value.decode("latin-1")
+        return d
+
+    @classmethod
+    def from_wire(cls, d: dict) -> "Command":
+        v = d.get("value")
+        return cls(d["kind"], d["key"].encode("latin-1"),
+                   None if v is None else v.encode("latin-1"), d.get("request_id", ""))
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,11 +199,11 @@ def validate_roster(roster: Roster, n: int) -> RosterViolation | None:
 class ClusterConfig:
     """Cluster sizing and timer durations (microseconds).
 
-    Requires n odd >= 3 and t_hb_send < t_hb_fail < t_guard == t_lease.
+    Requires n odd >= 3 and t_hb_send < t_hb_fail < t_lease. The guard
+    phase of a lease lasts t_lease too.
     """
 
     n: int
-    t_guard: int = 2_500_000
     t_lease: int = 2_500_000
     t_delta: int = 100_000
     t_hb_send: int = 120_000
@@ -210,10 +220,57 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.n < 3 or self.n % 2 == 0:
             raise ValueError(f"n must be odd and >= 3, got {self.n}")
-        if not (self.t_hb_send < self.t_hb_fail < self.t_guard):
+        if not (self.t_hb_send < self.t_hb_fail < self.t_lease):
             raise ValueError(
-                "timer rule violated: need t_hb_send < t_hb_fail < t_guard"
+                "timer rule violated: need t_hb_send < t_hb_fail < t_lease"
             )
-        if self.t_guard != self.t_lease:
-            raise ValueError("t_guard must equal t_lease")
         self.majority = (self.n + 1) // 2
+
+
+class SettingError(ValueError):
+    """A settings dict failed validation; `key` names the offending entry."""
+
+    def __init__(self, key: str, reason: str) -> None:
+        self.key = key
+        self.reason = reason
+        super().__init__(f"{key}: {reason}")
+
+
+def _ms_to_us(v) -> int:
+    return int(round(float(v) * 1000))
+
+
+# A cluster's settings as scenario files and node configs spell them:
+# key -> (ClusterConfig field, conversion). Durations are milliseconds there.
+CLUSTER_KEYS = {
+    "hb_send_ms": ("t_hb_send", _ms_to_us),
+    "hb_fail_ms": ("t_hb_fail", _ms_to_us),
+    "lease_ms": ("t_lease", _ms_to_us),
+    "delta_ms": ("t_delta", _ms_to_us),
+    "batch_ms": ("batch_interval", _ms_to_us),
+    "unhold_floor_ms": ("t_unhold", _ms_to_us),
+    "tune_window_ms": ("tune_window", _ms_to_us),
+    "hb_fail_jitter": ("hb_fail_jitter", lambda v: v),
+    "snapshot_every": ("snapshot_every", lambda v: v),
+    "auto_tune": ("auto_tune", lambda v: v),
+    "early_notes": ("early_accept_notes", bool),
+}
+
+
+def cluster_config_from_dict(n: int, d: dict) -> ClusterConfig:
+    """ClusterConfig from the keys of CLUSTER_KEYS. `guard_ms` is accepted
+    for older files and must equal the lease. Raises SettingError naming an
+    unknown or inconsistent key, and ValueError when the timers break
+    ClusterConfig's rules."""
+    kw: dict = {}
+    for k, v in d.items():
+        if k == "guard_ms":
+            continue
+        if k not in CLUSTER_KEYS:
+            raise SettingError(k, "unknown setting")
+        name, conv = CLUSTER_KEYS[k]
+        kw[name] = conv(v)
+    cfg = ClusterConfig(n=n, **kw)
+    if "guard_ms" in d and _ms_to_us(d["guard_ms"]) != cfg.t_lease:
+        raise SettingError("guard_ms", "must equal lease_ms")
+    return cfg

@@ -53,7 +53,6 @@ from .messages import (
     Revoke,
     RevokeReply,
     StatsReport,
-    msg_to_wire,
 )
 from .model import (
     Ballot,
@@ -146,7 +145,7 @@ class Node:
                     i,
                     self.log.slots[i].bal.to_wire(),
                     int(self.log.slots[i].status),
-                    [msg_to_wire_cmd(c) for c in self.log.slots[i].batch],
+                    [c.to_wire() for c in self.log.slots[i].batch],
                 ]
                 for i in sorted(self.log.slots)
             ],
@@ -165,7 +164,6 @@ class Node:
                 out.append(ArmTimer(("hb_fail", p), self.fd.refresh(p, now)))
         if self.cfg.auto_tune:
             out.append(ArmTimer(("tune",), now + self.cfg.tune_window))
-            self.stats.reset(now)
         return out
 
     # -------------------------------------------------------------- dispatch
@@ -486,8 +484,7 @@ class Node:
         s.accept_replies.add(frm)
         if not self._commit_ok(s):
             return []
-        out = self._release_pending(s)
-        self.log.mark_committed(msg.slot)
+        out = self._commit(s)
         self._count("commits")
         cm = Commit(msg.bal, (msg.slot,))
         for p in range(self.cfg.n):
@@ -533,8 +530,7 @@ class Node:
                 missing.append(idx)
                 continue
             if s.status < SlotStatus.COMMITTED:
-                out += self._release_pending(s)
-                self.log.mark_committed(idx)
+                out += self._commit(s)
         if missing:
             out.append(Send(frm, CatchUpRequest(tuple(missing[:MAX_CATCHUP_BATCH]))))
         out += self._execute(now)
@@ -546,8 +542,7 @@ class Node:
         for idx in self.log.missing_below(upto):
             s = self.log.slots.get(idx)
             if s is not None and s.bal >= bal:
-                out += self._release_pending(s)
-                self.log.mark_committed(idx)
+                out += self._commit(s)
             else:
                 missing.append(idx)
         if missing:
@@ -593,8 +588,7 @@ class Node:
             s, more = self._record_accept(idx, bal, batch, now)
             out += more
             if committed and s is not None:
-                out += self._release_pending(s)
-                self.log.mark_committed(idx)
+                out += self._commit(s)
         out += self._execute(now)
         return out
 
@@ -674,8 +668,7 @@ class Node:
                     s, more = self._record_accept(idx, entry[0], entry[1], now)
                     out += more
                     if s is not None:
-                        out += self._release_pending(s)
-                        self.log.mark_committed(idx)
+                        out += self._commit(s)
                 continue
             batch = entry[1] if entry is not None else ()
             msg = Accept(self.bal, idx, batch)
@@ -746,6 +739,12 @@ class Node:
         s.pending_reads = keep
         return out
 
+    def _commit(self, s: LogSlot) -> list[Output]:
+        """Mark `s` committed, answering the reads held on it first."""
+        out = self._release_pending(s)
+        self.log.mark_committed(s.index)
+        return out
+
     def _record_accept(self, idx: int, bal: Ballot, batch: tuple[Command, ...],
                        now: int) -> tuple[LogSlot | None, list[Output]]:
         """`ConsensusLog.record_accept`, plus: when an uncommitted slot's
@@ -784,11 +783,8 @@ class Node:
         if req.verb == "roster_get":
             return [Reply(req.client, CtlReply(True, bal=self.bal, roster=self.ros))]
         if req.verb == "stats":
-            merged = KeyStats()
-            merged.merge_rows(self.stats.rows())
-            for rows in self.peer_stats.values():
-                merged.merge_rows(rows)
-            return [Reply(req.client, CtlReply(True, bal=self.bal, rows=merged.rows()))]
+            rows = self._merged_stats().rows()
+            return [Reply(req.client, CtlReply(True, bal=self.bal, rows=rows))]
         if req.verb == "roster_set":
             if req.roster is None:
                 return [Reply(req.client, CtlReply(False, "missing roster"))]
@@ -800,21 +796,25 @@ class Node:
             return out
         return [Reply(req.client, CtlReply(False, f"unknown verb {req.verb!r}"))]
 
+    def _merged_stats(self) -> KeyStats:
+        """This node's key counters plus the latest report of each peer."""
+        merged = KeyStats()
+        merged.merge_rows(self.stats.rows())
+        for rows in self.peer_stats.values():
+            merged.merge_rows(rows)
+        return merged
+
     def _tune_tick(self, now: int) -> list[Output]:
         out: list[Output] = []
         if self.is_leader():
-            merged = KeyStats()
-            merged.merge_rows(self.stats.rows())
-            for rows in self.peer_stats.values():
-                merged.merge_rows(rows)
-            proposal = auto_tune_proposal(merged, self.ros)
+            proposal = auto_tune_proposal(self._merged_stats(), self.ros)
             if proposal is not None:
                 _bal, more = self.announce_roster(proposal, now)
                 out += more
             self.peer_stats.clear()
         elif self.ros.leader is not None and self.stats.counts:
             out.append(Send(self.ros.leader, StatsReport(self.stats.rows())))
-        self.stats.reset(now)
+        self.stats.reset()
         out.append(ArmTimer(("tune",), now + self.cfg.tune_window))
         return out
 
@@ -839,7 +839,3 @@ _MSG_HANDLERS = {
     StatsReport: Node._on_stats_report,
 }
 
-
-def msg_to_wire_cmd(c: Command) -> list:
-    return [c.kind, c.key.decode("latin-1"),
-            "" if c.value is None else c.value.decode("latin-1"), c.request_id]

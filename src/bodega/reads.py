@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .log import ConsensusLog, SlotStatus
+from .messages import ClientReadReply, ClientRedirect, ClientUnavailable, ClientWriteReply
 from .model import Ballot, NodeId, Roster
 
 
@@ -258,6 +259,22 @@ class ClientSession:
             out.append(ClientSend(nxt, False))
         out.append(ClientArm(self.cache.unhold_after(now)))
         return out
+
+    def on_msg(self, msg, now: int) -> list:
+        """Feed one message from a node; anything but a reply to this
+        session's request is ignored."""
+        if getattr(msg, "request_id", None) != self.request_id:
+            return []
+        t = type(msg)
+        if t is ClientReadReply:
+            return self.on_reply("read", msg.value, None, msg.bal, msg.roster, now)
+        if t is ClientWriteReply:
+            return self.on_reply("write", None, None, msg.bal, msg.roster, now)
+        if t is ClientRedirect:
+            return self.on_reply("redirect", None, msg.target, msg.bal, msg.roster, now)
+        if t is ClientUnavailable:
+            return self.on_reply("unavailable", None, None, None, None, now)
+        return []
 
     def on_reply(self, kind: str, value: bytes | None, target: NodeId | None,
                  bal: Ballot | None, roster: Roster | None, now: int) -> list:

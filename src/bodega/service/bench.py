@@ -9,85 +9,45 @@ import json
 import random
 import time
 
+from ..workload import OpGen, latency_summary
 from .client import KvClient, mono_us
 from .config import WorkloadSpec
 
 
-def _zipf_cdf(n: int, theta: float) -> list[float]:
-    weights = [1.0 / ((i + 1) ** theta) for i in range(n)]
-    total = sum(weights)
-    acc, cdf = 0.0, []
-    for w in weights:
-        acc += w / total
-        cdf.append(acc)
-    return cdf
-
-
-def _pick_key(rng: random.Random, spec: WorkloadSpec, cdf: list[float] | None) -> bytes:
-    if cdf is None:
-        idx = rng.randrange(spec.keys)
-    else:
-        x = rng.random()
-        lo, hi = 0, spec.keys - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        idx = lo
-    return (b"k%0*d" % (max(1, spec.key_len - 1), idx))[: max(2, spec.key_len)]
-
-
-async def _client_task(cid: str, site: int, addrs: list[str], spec: WorkloadSpec,
+async def _client_task(cid: str, site: int, addrs: list[str], spec: WorkloadSpec, ops: OpGen,
                        seed: int, stop_at: float, records: list[dict]) -> None:
     rng = random.Random(seed)
-    cdf = _zipf_cdf(spec.keys, spec.zipf_theta) if spec.zipf_theta > 0 else None
     cli = KvClient(addrs, site, cid, spec.unhold_floor_ms, spec.op_timeout_s)
     period = 1.0 / spec.open_rate_per_s if spec.open_rate_per_s > 0 else 0.0
+    n = 0
     try:
         while time.monotonic() < stop_at:
-            key = _pick_key(rng, spec, cdf)
-            is_write = rng.random() < spec.write_ratio
+            n += 1
+            key, value = ops.draw(rng, cid, n)
+            op = "get" if value is None else "put"
             invoke = mono_us()
-            if is_write:
-                value = (f"v.{cid}.{mono_us()}".encode() + b"x" * spec.value_len)[: spec.value_len]
-                outcome, _val, lat = await cli.put(key, value)
-                records.append({
-                    "client": cid, "site": site, "op": "put",
-                    "key": key.decode("latin-1"), "value": value.decode("latin-1"),
-                    "invoke": invoke, "response": invoke + lat if outcome == "ok" else None,
-                    "outcome": outcome, "latency_us": lat,
-                    "request_id": f"{cid}.{cli._op_n}",
-                })
-            else:
-                outcome, val, lat = await cli.get(key)
-                records.append({
-                    "client": cid, "site": site, "op": "get",
-                    "key": key.decode("latin-1"),
-                    "value": None if val is None else val.decode("latin-1"),
-                    "invoke": invoke, "response": invoke + lat if outcome == "ok" else None,
-                    "outcome": outcome, "latency_us": lat,
-                    "request_id": f"{cid}.{cli._op_n}",
-                })
+            outcome, got, lat = await cli.op(op, key, value, request_id=f"{cid}.{n}")
+            if op == "get":
+                value = got
+            records.append({
+                "client": cid, "site": site, "op": op,
+                "key": key.decode("latin-1"),
+                "value": None if value is None else value.decode("latin-1"),
+                "invoke": invoke, "response": invoke + lat if outcome == "ok" else None,
+                "outcome": outcome, "latency_us": lat,
+                "request_id": f"{cid}.{n}",
+            })
             if period:
                 await asyncio.sleep(period)
     finally:
         await cli.close()
 
 
-def _summary(records: list[dict], wall_s: float) -> dict:
-    def agg(rows: list[dict]) -> dict:
-        lats = sorted(r["latency_us"] for r in rows if r["outcome"] == "ok")
-        if not lats:
-            return {"count": 0}
-        return {
-            "count": len(lats),
-            "mean_ms": round(sum(lats) / len(lats) / 1000.0, 3),
-            "p50_ms": round(lats[len(lats) // 2] / 1000.0, 3),
-            "p99_ms": round(lats[min(len(lats) - 1, int(len(lats) * 0.99))] / 1000.0, 3),
-        }
+def _ok_latencies(rows: list[dict]) -> list[int]:
+    return [r["latency_us"] for r in rows if r["outcome"] == "ok"]
 
+
+def _summary(records: list[dict], wall_s: float) -> dict:
     reads = [r for r in records if r["op"] == "get"]
     writes = [r for r in records if r["op"] == "put"]
     ok = [r for r in records if r["outcome"] == "ok"]
@@ -95,12 +55,12 @@ def _summary(records: list[dict], wall_s: float) -> dict:
     return {
         "wall_s": round(wall_s, 3),
         "throughput_ops_s": round(len(ok) / wall_s, 1) if wall_s else 0,
-        "reads": agg(reads),
-        "writes": agg(writes),
+        "reads": latency_summary(_ok_latencies(reads)),
+        "writes": latency_summary(_ok_latencies(writes)),
         "per_site": {
             str(s): {
-                "reads": agg([r for r in reads if r["site"] == s]),
-                "writes": agg([r for r in writes if r["site"] == s]),
+                "reads": latency_summary(_ok_latencies([r for r in reads if r["site"] == s])),
+                "writes": latency_summary(_ok_latencies([r for r in writes if r["site"] == s])),
             }
             for s in sites
         },
@@ -113,6 +73,7 @@ async def bench(spec: WorkloadSpec, client_addrs: list[str], seed: int = 0,
     """Run the workload; returns (and optionally writes) the summary."""
     spec.validate(len(client_addrs))
     records: list[dict] = []
+    ops = OpGen(spec.keys, spec.key_len, spec.value_len, spec.write_ratio, spec.zipf_theta)
     stop_at = time.monotonic() + spec.duration_s
     tasks = []
     idx = 0
@@ -121,7 +82,7 @@ async def bench(spec: WorkloadSpec, client_addrs: list[str], seed: int = 0,
             cid = f"b{site}.{idx}"
             idx += 1
             tasks.append(asyncio.create_task(
-                _client_task(cid, site, client_addrs, spec, seed * 1009 + idx,
+                _client_task(cid, site, client_addrs, spec, ops, seed * 1009 + idx,
                              stop_at, records)))
     t0 = time.monotonic()
     await asyncio.gather(*tasks)

@@ -5,17 +5,7 @@ from __future__ import annotations
 import asyncio
 import time
 
-from ..messages import (
-    ClientRead,
-    ClientReadReply,
-    ClientRedirect,
-    ClientUnavailable,
-    ClientWrite,
-    ClientWriteReply,
-    CtlReply,
-    CtlRequest,
-    Msg,
-)
+from ..messages import ClientRead, ClientWrite, CtlReply, CtlRequest, Msg
 from ..model import Roster
 from ..reads import ClientArm, ClientCache, ClientDone, ClientSend, ClientSession
 from .config import PeerAddr
@@ -113,19 +103,7 @@ class KvClient:
             except asyncio.TimeoutError:
                 outs = sess.on_timer(mono_us())
                 continue
-            outs = self._dispatch(sess, msg)
-
-    def _dispatch(self, sess: ClientSession, msg: Msg) -> list:
-        now = mono_us()
-        if isinstance(msg, ClientReadReply) and msg.request_id == sess.request_id:
-            return sess.on_reply("read", msg.value, None, msg.bal, msg.roster, now)
-        if isinstance(msg, ClientWriteReply) and msg.request_id == sess.request_id:
-            return sess.on_reply("write", None, None, msg.bal, msg.roster, now)
-        if isinstance(msg, ClientRedirect) and msg.request_id == sess.request_id:
-            return sess.on_reply("redirect", None, msg.target, msg.bal, msg.roster, now)
-        if isinstance(msg, ClientUnavailable) and msg.request_id == sess.request_id:
-            return sess.on_reply("unavailable", None, None, None, None, now)
-        return []
+            outs = sess.on_msg(msg, mono_us())
 
     async def put(self, key: bytes, value: bytes):
         return await self.op("put", key, value)

@@ -4,7 +4,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from ..model import ClusterConfig, Roster, validate_roster
+from ..model import ClusterConfig, Roster, SettingError, cluster_config_from_dict, validate_roster
+from ..workload import parse_distribution_mode
 
 
 class ConfigError(ValueError):
@@ -32,36 +33,11 @@ class NodeConfig:
     seed: int = 0
     initial_roster: Roster | None = None
     announce: bool = False  # this node announces initial_roster at startup
-    snapshot_path: str | None = None
     record_events: bool = False
 
     @property
     def n(self) -> int:
         return len(self.peers)
-
-
-_TIMER_KEYS = {
-    "hb_send_ms": "t_hb_send", "hb_fail_ms": "t_hb_fail", "guard_ms": "t_guard",
-    "lease_ms": "t_lease", "delta_ms": "t_delta", "batch_ms": "batch_interval",
-    "unhold_floor_ms": "t_unhold", "tune_window_ms": "tune_window",
-}
-
-
-def _cluster_from_dict(n: int, d: dict) -> ClusterConfig:
-    kw: dict = {}
-    for k, v in d.items():
-        if k in _TIMER_KEYS:
-            kw[_TIMER_KEYS[k]] = int(round(float(v) * 1000))
-        elif k in ("hb_fail_jitter", "snapshot_every", "auto_tune"):
-            kw[k] = v
-        elif k == "early_notes":
-            kw["early_accept_notes"] = bool(v)
-        else:
-            raise ConfigError(f"unknown timer setting {k!r}")
-    try:
-        return ClusterConfig(n=n, **kw)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
 
 
 def node_config_from_dict(d: dict) -> NodeConfig:
@@ -81,13 +57,15 @@ def node_config_from_dict(d: dict) -> NodeConfig:
         peers.append(PeerAddr(p["peer"], p["client"]))
     if not (0 <= node_id < len(peers)):
         raise ConfigError(f"id {node_id} out of range for {len(peers)} peers")
-    cluster = _cluster_from_dict(len(peers), d.get("timers", {}))
+    try:
+        cluster = cluster_config_from_dict(len(peers), d.get("timers", {}))
+    except ValueError as e:
+        raise ConfigError(f"timers: {e}") from None
     cfg = NodeConfig(
         node_id=node_id,
         peers=peers,
         cluster=cluster,
         seed=int(d.get("seed", 0)),
-        snapshot_path=d.get("snapshot_path"),
         record_events=bool(d.get("record_events", False)),
         announce=bool(d.get("announce", False)),
     )
@@ -131,18 +109,10 @@ class WorkloadSpec:
 
 
 def workload_from_dict(d: dict) -> WorkloadSpec:
-    dist = d.get("distribution", "uniform")
-    theta = 0.0
-    if isinstance(dist, dict):
-        theta = float(dist.get("zipf", 0.99))
-    elif dist != "uniform":
-        raise ConfigError("distribution must be 'uniform' or {'zipf': theta}")
-    mode = d.get("mode", "closed")
-    rate = 0.0
-    if isinstance(mode, dict):
-        rate = float(mode.get("open_rate_per_s", 0.0))
-    elif mode != "closed":
-        raise ConfigError("mode must be 'closed' or {'open_rate_per_s': r}")
+    try:
+        theta, rate = parse_distribution_mode(d)
+    except SettingError as e:
+        raise ConfigError(str(e)) from None
     clients = [(int(c["site"]), int(c.get("count", 1))) for c in d.get("clients", [])]
     return WorkloadSpec(
         keys=int(d.get("keys", 1000)),

@@ -9,7 +9,6 @@ identical state digest.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 
 from ..events import ArmTimer, CancelTimer, ClientRequest, Deliver, Event, OperatorRequest, Reply, Send, TimerFire
@@ -21,7 +20,7 @@ from ..messages import (
     msg_from_wire,
     msg_to_wire,
 )
-from ..model import Command
+from ..model import Command, Roster
 from ..node import Node
 from .config import NodeConfig, PeerAddr
 from .wire import FrameReader, WireError, encode
@@ -41,9 +40,7 @@ def event_to_wire(ev: Event, now: int) -> dict:
     if isinstance(ev, ClientRequest):
         return {
             "t": now, "kind": "client", "client": ev.client,
-            "cmd": [ev.cmd.kind, ev.cmd.key.decode("latin-1"),
-                    "" if ev.cmd.value is None else ev.cmd.value.decode("latin-1"),
-                    ev.cmd.request_id],
+            "cmd": ev.cmd.to_wire(),
             "preferred": ev.preferred, "want_roster": ev.want_roster, "fresh": ev.fresh,
         }
     if isinstance(ev, OperatorRequest):
@@ -53,17 +50,13 @@ def event_to_wire(ev: Event, now: int) -> dict:
 
 
 def event_from_wire(d: dict) -> tuple[Event, int]:
-    from ..model import Roster
-
     kind = d["kind"]
     if kind == "deliver":
         return Deliver(int(d["frm"]), msg_from_wire(d["msg"])), d["t"]
     if kind == "timer":
         return TimerFire(tuple(d["key"])), d["t"]
     if kind == "client":
-        k, key, val, rid = d["cmd"]
-        cmd = Command(k, key.encode("latin-1"),
-                      val.encode("latin-1") if k == "put" else None, rid)
+        cmd = Command.from_wire(d["cmd"])
         return ClientRequest(d["client"], cmd, d["preferred"], d["want_roster"], d["fresh"]), d["t"]
     if kind == "operator":
         ros = None if d["roster"] is None else Roster.from_wire(d["roster"])
@@ -135,7 +128,6 @@ class Daemon:
         self.event_log: list[dict] = []
         self.stopping = False
         self.started = asyncio.Event()
-        self._snap_written = 0
         self._servers: list[asyncio.base_events.Server] = []
         self._tasks: list[asyncio.Task] = []
 
@@ -200,7 +192,6 @@ class Daemon:
                 traceback.print_exc()
                 continue
             self._apply(outs)
-            self._maybe_persist_snapshot()
 
     def _apply(self, outs: list) -> None:
         for o in outs:
@@ -243,22 +234,6 @@ class Daemon:
             return
         del self.timers[key]
         self.queue.put_nowait(TimerFire(key))
-
-    def _maybe_persist_snapshot(self) -> None:
-        if not self.cfg.snapshot_path:
-            return
-        upto = self.node.log.snap_upto
-        if upto <= self._snap_written:
-            return
-        self._snap_written = upto
-        blob = {
-            "upto": upto,
-            "kv": {k.decode("latin-1"): v.decode("latin-1")
-                   for k, v in sorted(self.node.log.snap_kv.items())},
-            "applied": sorted(self.node.log.applied_ids),
-        }
-        with open(self.cfg.snapshot_path, "w", encoding="utf-8") as f:
-            json.dump(blob, f)
 
     # -------------------------------------------------------- connections
 

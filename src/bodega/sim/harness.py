@@ -16,20 +16,12 @@ import zlib
 from dataclasses import dataclass, field
 
 from ..events import ArmTimer, CancelTimer, ClientRequest, Deliver, OperatorRequest, Reply, Send, TimerFire
-from ..messages import (
-    Accept,
-    ClientReadReply,
-    ClientRedirect,
-    ClientUnavailable,
-    ClientWriteReply,
-    Commit,
-    CtlReply,
-    msg_to_wire,
-)
+from ..messages import Accept, Commit, msg_to_wire
 from ..log import ConsensusLog
-from ..model import Command, NodeId
+from ..model import Command
 from ..node import Node
 from ..reads import ClientArm, ClientCache, ClientDone, ClientSend, ClientSession
+from ..workload import OpGen, latency_summary
 from .scenario import Scenario, ScriptEvent
 
 
@@ -164,7 +156,7 @@ class Simulation:
     ) -> None:
         self.sc = sc
         self.seed = seed
-        self.cfg = sc.cluster_config()
+        self.cfg = sc.config
         self.trace_on = trace
         self.monitors = monitors
         self.delay_chooser = delay_chooser  # exploration hook: (idx, a, b, d) -> d
@@ -184,7 +176,7 @@ class Simulation:
         self.sends = 0
         self.node_timers: list[dict[tuple, _Timer]] = [dict() for _ in range(sc.n)]
         self.clients: dict[str, _ClientState] = {}
-        self._keys: list[bytes] = []  # workload key by index, built at setup
+        self._ops: OpGen | None = None  # the workload's op generator, built at setup
         self.history: list[OpRecord] = []
         self.trace: list[str] = []
         self.violations: list[str] = []
@@ -278,7 +270,7 @@ class Simulation:
         self.sends += 1
         if d is None:
             return
-        self._push(self.now + d, "cmsg", client, frm_node, msg)
+        self._push(self.now + d, "cmsg", client, msg)
 
     def _apply_outputs(self, node_id: int, outs: list) -> None:
         timers = self.node_timers[node_id]
@@ -463,46 +455,6 @@ class Simulation:
         )
         self._client_outputs(cs, sess.begin())
 
-    def _gen_op(self, cs: _ClientState) -> tuple[str, bytes, bytes | None, str]:
-        w = self.sc.workload
-        rng = cs.rng
-        if w.zipf_theta > 0.0:
-            idx = self._zipf(rng, w.keys, w.zipf_theta)
-        else:
-            idx = rng.randrange(w.keys)
-        key = self._keys[idx]
-        is_write = rng.random() < w.write_ratio
-        cs.ops_done += 1
-        rid = f"{cs.cid}.{cs.ops_done}"
-        if is_write:
-            value = (f"v.{cs.cid}.{cs.ops_done}." .encode() + b"x" * w.value_len)[: w.value_len]
-            return "put", key, value, rid
-        return "get", key, None, rid
-
-    _zipf_cache: dict[tuple[int, float], list[float]] = {}
-
-    @classmethod
-    def _zipf(cls, rng: random.Random, n: int, theta: float) -> int:
-        cdf = cls._zipf_cache.get((n, theta))
-        if cdf is None:
-            weights = [1.0 / ((i + 1) ** theta) for i in range(n)]
-            total = sum(weights)
-            acc = 0.0
-            cdf = []
-            for w in weights:
-                acc += w / total
-                cdf.append(acc)
-            cls._zipf_cache[(n, theta)] = cdf
-        x = rng.random()
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def _op_completed(self, op_id: str) -> None:
         self.completed_ops.add(op_id)
         for ev in self.waiting_script.pop(op_id, []):
@@ -518,8 +470,7 @@ class Simulation:
             self._push(self.sc.initial_at, "roster_set",
                        self.sc.initial_announcer, self.sc.initial_roster)
         w = self.sc.workload
-        self._keys = [(b"k%0*d" % (max(1, w.key_len - 1), i))[: max(2, w.key_len)]
-                      for i in range(w.keys)]
+        self._ops = OpGen(w.keys, w.key_len, w.value_len, w.write_ratio, w.zipf_theta)
         idx = 0
         for grp in w.clients:
             for _k in range(grp.count):
@@ -606,8 +557,10 @@ class Simulation:
                                             "rid": ev.cmd.request_id, "op": ev.cmd.kind})
                 self._node_event(target, ev)
             elif kind == "cmsg":
-                cid, frm_node, msg = data
-                self._client_msg(cid, frm_node, msg)
+                cid, msg = data
+                cs = self.clients[cid]
+                if cs.session is not None:
+                    self._client_outputs(cs, cs.session.on_msg(msg, self.now))
             elif kind == "ctimer":
                 cs = self.clients.get(data[0])
                 if cs is None or not self._due(cs.timer, seq, kind, data) or cs.session is None:
@@ -616,8 +569,10 @@ class Simulation:
             elif kind == "cbegin":
                 cs = self.clients[data[0]]
                 if cs.session is None:
-                    op, key, value, rid = self._gen_op(cs)
-                    self._begin_op(cs, op, key, value, rid)
+                    cs.ops_done += 1
+                    key, value = self._ops.draw(cs.rng, cs.cid, cs.ops_done)
+                    self._begin_op(cs, "get" if value is None else "put", key, value,
+                                   f"{cs.cid}.{cs.ops_done}")
             elif kind == "script_op":
                 self._run_script_op(data[0])
             elif kind == "crash":
@@ -652,49 +607,9 @@ class Simulation:
             nodes=self.nodes,
         )
 
-    def _client_msg(self, cid: str, frm_node: int, msg) -> None:
-        cs = self.clients.get(cid)
-        if cs is None:
-            return
-        if isinstance(msg, CtlReply):
-            return
-        sess = cs.session
-        if sess is None:
-            return
-        if isinstance(msg, ClientReadReply):
-            if msg.request_id != sess.request_id:
-                return
-            outs = sess.on_reply("read", msg.value, None, msg.bal, msg.roster, self.now)
-        elif isinstance(msg, ClientWriteReply):
-            if msg.request_id != sess.request_id:
-                return
-            outs = sess.on_reply("write", None, None, msg.bal, msg.roster, self.now)
-        elif isinstance(msg, ClientRedirect):
-            if msg.request_id != sess.request_id:
-                return
-            outs = sess.on_reply("redirect", None, msg.target, msg.bal, msg.roster, self.now)
-        elif isinstance(msg, ClientUnavailable):
-            if msg.request_id != sess.request_id:
-                return
-            outs = sess.on_reply("unavailable", None, None, None, None, self.now)
-        else:
-            return
-        self._client_outputs(cs, outs)
-
     # --------------------------------------------------------------- metrics
 
     def _metrics(self) -> dict:
-        def agg(samples: list[int]) -> dict:
-            if not samples:
-                return {"count": 0}
-            s = sorted(samples)
-            return {
-                "count": len(s),
-                "mean_ms": round(sum(s) / len(s) / 1000.0, 3),
-                "p50_ms": round(s[len(s) // 2] / 1000.0, 3),
-                "p99_ms": round(s[min(len(s) - 1, int(len(s) * 0.99))] / 1000.0, 3),
-            }
-
         reads, writes = [], []
         per_site: dict[int, dict[str, list[int]]] = {}
         touch: dict[int, int] = {i: 0 for i in range(self.sc.n)}
@@ -722,10 +637,10 @@ class Simulation:
                 + node.counters.get("reads_fallback", 0)
             )
         return {
-            "reads": agg(reads),
-            "writes": agg(writes),
+            "reads": latency_summary(reads),
+            "writes": latency_summary(writes),
             "per_site": {
-                str(k): {"read": agg(v["read"]), "write": agg(v["write"])}
+                str(k): {"read": latency_summary(v["read"]), "write": latency_summary(v["write"])}
                 for k, v in sorted(per_site.items())
             },
             "locality": {

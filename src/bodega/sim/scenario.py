@@ -8,7 +8,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from ..model import ClusterConfig, Roster
+from ..model import ClusterConfig, Roster, SettingError, cluster_config_from_dict
+from ..workload import parse_distribution_mode
 
 
 class ScenarioError(ValueError):
@@ -64,21 +65,17 @@ class Scenario:
     name: str
     n: int
     rtt_us: list[list[int]]  # symmetric per-pair RTT, microseconds
+    config: ClusterConfig
     jitter_us: int = 0
     drop_prob: float = 0.0
     client_local_rtt_us: int = 500
     drift_delta_us: int = 100_000
     drift_window_us: int = 2_500_000
-    config_overrides: dict = field(default_factory=dict)
     initial_roster: Roster | None = None
     initial_announcer: int = 0
     initial_at: int = 10_000
     workload: Workload = field(default_factory=Workload)
     script: list[ScriptEvent] = field(default_factory=list)
-
-    def cluster_config(self) -> ClusterConfig:
-        kw = dict(self.config_overrides)
-        return ClusterConfig(n=self.n, **kw)
 
     def one_way_us(self, a: int, b: int) -> int:
         if a == b:
@@ -111,43 +108,26 @@ def scenario_from_dict(d: dict) -> Scenario:
             _require(rtt_us[i][j] == rtt_us[j][i], "rtt_ms", "matrix must be symmetric")
             _require(rtt_us[i][j] >= 0, "rtt_ms", "delays must be non-negative")
 
+    drop_prob = float(d.get("drop_prob", 0.0))
+    _require(0.0 <= drop_prob < 1.0, "drop_prob", "must be in [0, 1)")
+    try:
+        cfg = cluster_config_from_dict(n, d.get("config", {}))
+    except SettingError as e:
+        raise ScenarioError(f"config.{e.key}", e.reason) from None
+    except ValueError as e:
+        raise ScenarioError("config", str(e)) from None
     drift = d.get("drift", {})
     sc = Scenario(
         name=str(d.get("name", "scenario")),
         n=n,
         rtt_us=rtt_us,
+        config=cfg,
         jitter_us=_us(d.get("jitter_ms", 0.0)),
-        drop_prob=float(d.get("drop_prob", 0.0)),
+        drop_prob=drop_prob,
         client_local_rtt_us=_us(d.get("client_local_rtt_ms", 0.5)),
         drift_delta_us=_us(drift.get("delta_ms", 100)),
         drift_window_us=_us(drift.get("window_ms", 2500)),
     )
-    _require(0.0 <= sc.drop_prob < 1.0, "drop_prob", "must be in [0, 1)")
-
-    cfg = d.get("config", {})
-    known = {
-        "hb_send_ms": "t_hb_send", "hb_fail_ms": "t_hb_fail", "guard_ms": "t_guard",
-        "lease_ms": "t_lease", "delta_ms": "t_delta", "batch_ms": "batch_interval",
-        "unhold_floor_ms": "t_unhold",
-    }
-    overrides: dict = {}
-    for k, v in cfg.items():
-        if k in known:
-            overrides[known[k]] = _us(v)
-        elif k in ("hb_fail_jitter", "snapshot_every", "early_notes", "auto_tune", "tune_window_ms"):
-            if k == "early_notes":
-                overrides["early_accept_notes"] = bool(v)
-            elif k == "tune_window_ms":
-                overrides["tune_window"] = _us(v)
-            else:
-                overrides[k] = v
-        else:
-            raise ScenarioError(f"config.{k}", "unknown setting")
-    sc.config_overrides = overrides
-    try:
-        sc.cluster_config()
-    except ValueError as e:
-        raise ScenarioError("config", str(e)) from None
 
     init = d.get("initial_roster")
     if init is not None:
@@ -164,18 +144,10 @@ def scenario_from_dict(d: dict) -> Scenario:
             groups.append(ClientGroup(int(g["site"]), int(g.get("count", 1))))
         wr = float(w.get("write_ratio", 0.1))
         _require(0.0 <= wr <= 1.0, "workload.write_ratio", "must be in [0, 1]")
-        dist = w.get("distribution", "uniform")
-        theta = 0.0
-        if isinstance(dist, dict):
-            theta = float(dist.get("zipf", 0.99))
-        elif dist != "uniform":
-            raise ScenarioError("workload.distribution", "uniform or {'zipf': theta}")
-        mode = w.get("mode", "closed")
-        rate = 0.0
-        if isinstance(mode, dict):
-            rate = float(mode.get("open_rate_per_s", 0.0))
-        elif mode != "closed":
-            raise ScenarioError("workload.mode", "closed or {'open_rate_per_s': r}")
+        try:
+            theta, rate = parse_distribution_mode(w)
+        except SettingError as e:
+            raise ScenarioError(f"workload.{e.key}", e.reason) from None
         sc.workload = Workload(
             start=_us(w.get("start_ms", 500)),
             duration=_us(w.get("duration_ms", 3000)),

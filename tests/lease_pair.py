@@ -39,7 +39,7 @@ class LeasePair:
         self.rng = rng
         # scaled-down timers with the standard ratios; the drift rate is the
         # exact envelope for this delta/lease pair
-        self.cfg = ClusterConfig(n=3, t_guard=250_000, t_lease=250_000,
+        self.cfg = ClusterConfig(n=3, t_lease=250_000,
                                  t_delta=10_000, t_hb_send=12_000, t_hb_fail=120_000)
         rho = self.cfg.t_delta / (2.0 * self.cfg.t_lease)
         flip = rng.random() < 0.5
@@ -51,7 +51,7 @@ class LeasePair:
         if break_grantee_margin:
             # harness self-test: a grantee that ignores the drift margin must
             # be caught by the invariant check
-            p_cfg = ClusterConfig(n=3, t_guard=250_000, t_lease=250_000,
+            p_cfg = ClusterConfig(n=3, t_lease=250_000,
                                   t_delta=-self.cfg.t_delta,
                                   t_hb_send=12_000, t_hb_fail=120_000)
         self.engines = {S: LeaseEngine(S, self.cfg), P: LeaseEngine(P, p_cfg)}

@@ -10,7 +10,7 @@ from bodega.messages import Guard, GuardReply, Renew, RenewReply, Revoke, Revoke
 from bodega.model import Ballot, ClusterConfig
 
 
-CFG = ClusterConfig(n=5, t_guard=2_500_000, t_lease=2_500_000, t_delta=100_000)
+CFG = ClusterConfig(n=5, t_lease=2_500_000, t_delta=100_000)
 B = Ballot(4, 2)
 
 
@@ -28,7 +28,7 @@ def test_initiate_guards_everyone():
     gs = sends(outs, Guard)
     assert len(gs) == 5 and all(g.msg.thresh == 17 for g in gs)
     assert set(e.guarding) == set(range(5))
-    assert all(dl == 1000 + CFG.t_guard + CFG.t_delta for dl in e.guarding.values())
+    assert all(dl == 1000 + CFG.t_lease + CFG.t_delta for dl in e.guarding.values())
 
 
 def test_initiate_fresh_node_thresh_zero():
@@ -50,7 +50,7 @@ def test_handle_guard_matching_ballot():
     e = make_engine()
     outs = e.on_guard(3, B, 9, cur_bal=B, now=2000)
     assert e.thresh[3] == 9
-    assert e.guarded[3] == 2000 + CFG.t_guard - CFG.t_delta
+    assert e.guarded[3] == 2000 + CFG.t_lease - CFG.t_delta
     assert len(sends(outs, GuardReply)) == 1
 
 
@@ -73,8 +73,7 @@ def test_guard_reply_moves_to_endowing_and_renews():
     e.initiate(B, 0, now=0)
     outs = e.on_guard_reply(1, B, cur_bal=B, now=100)
     assert 1 not in e.guarding and 1 in e.endowing
-    assert e.endowing[1] == 100 + CFG.t_guard + CFG.t_lease + CFG.t_delta
-    assert e.first_renew_acked[1] is False
+    assert e.endowing[1] == 100 + 2 * CFG.t_lease + CFG.t_delta
     assert len(sends(outs, Renew)) == 1
 
 
@@ -115,7 +114,6 @@ def test_renew_reply_extends_endowing():
     e.on_guard_reply(1, B, cur_bal=B, now=100)
     e.on_renew_reply(1, B, cur_bal=B, now=300)
     assert e.endowing[1] == 300 + CFG.t_lease + CFG.t_delta
-    assert e.first_renew_acked[1] is True
 
 
 def test_renew_reply_stale_or_expired_noop():

@@ -135,3 +135,12 @@ def test_matches_exhaustive_oracle_on_small_histories():
         assert fast == slow, (trial, ops)
         agree += 1
     assert agree == 300
+
+
+def test_long_single_key_history_checks_without_recursion():
+    # the search goes one level deeper per linearized op
+    h = [row(f"w{i}", "put", "x", str(i), 2 * i, 2 * i + 1) for i in range(5000)]
+    h.append(row("r", "get", "x", "4999", 10_000, 10_001))
+    assert check(h) is None
+    h[-1] = row("r", "get", "x", "4998", 10_000, 10_001)
+    assert check(h) is not None

@@ -7,6 +7,8 @@ from bodega.model import (
     EMPTY_ROSTER,
     KeyRange,
     Roster,
+    SettingError,
+    cluster_config_from_dict,
     full_range_roster,
     next_ballot,
     responders_of,
@@ -102,9 +104,19 @@ def test_cluster_config_rules():
     with pytest.raises(ValueError):
         ClusterConfig(n=5, t_hb_send=2_000_000)  # violates hb_send < hb_fail
     with pytest.raises(ValueError):
-        ClusterConfig(n=5, t_guard=2_000_000)  # guard must equal lease
+        ClusterConfig(n=5, t_lease=1_000_000)  # violates hb_fail < lease
     assert ClusterConfig(n=5).majority == 3
     assert ClusterConfig(n=7).majority == 4
+
+
+def test_guard_ms_must_equal_lease():
+    assert cluster_config_from_dict(5, {"guard_ms": 1500, "lease_ms": 1500}).t_lease == 1_500_000
+    assert cluster_config_from_dict(5, {"guard_ms": 2500}).t_lease == 2_500_000
+    with pytest.raises(SettingError) as e:
+        cluster_config_from_dict(5, {"guard_ms": 2000})
+    assert e.value.key == "guard_ms"
+    with pytest.raises(SettingError):
+        cluster_config_from_dict(5, {"guard_ms": 1400, "lease_ms": 1500})
 
 
 def test_roster_wire_roundtrip():

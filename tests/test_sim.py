@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from bodega.service.config import ConfigError, node_config_from_dict
 from bodega.sim.harness import ClockModel, NetworkModel, Simulation, run_scenario
 from bodega.sim.scenario import (
     ScenarioError,
@@ -24,6 +25,13 @@ SYM20 = {
     "workload": {"start_ms": 500, "duration_ms": 1000, "keys": 10, "write_ratio": 0.2,
                  "clients": [{"site": 0, "count": 1}, {"site": 3, "count": 1}]},
 }
+
+# zipf keys, open-loop arrivals and a think time: the workload generator's
+# other branches, which SYM20 and the scenarios below leave unused
+ZIPF_OPEN = dict(SYM20, name="zipf-open", workload={
+    "start_ms": 500, "duration_ms": 1000, "keys": 40, "write_ratio": 0.2,
+    "distribution": {"zipf": 0.99}, "mode": {"open_rate_per_s": 40}, "think_ms": 5,
+    "clients": [{"site": 1, "count": 2}, {"site": 4, "count": 1}]})
 
 
 def test_same_seed_identical_trace():
@@ -120,6 +128,22 @@ def test_scenario_validation_errors_name_field():
     assert "partition" in e.value.field
 
 
+def test_scenario_config_and_node_timers_parse_alike():
+    config = {"hb_send_ms": 45, "hb_fail_ms": 260.4, "guard_ms": 600, "lease_ms": 600,
+              "delta_ms": 30, "batch_ms": 2, "unhold_floor_ms": 45, "tune_window_ms": 900,
+              "hb_fail_jitter": 0.1, "snapshot_every": 7, "early_notes": False,
+              "auto_tune": True}
+    peers = [{"peer": "127.0.0.1:1", "client": "127.0.0.1:2"}] * 5
+    sc = scenario_from_dict(dict(SYM20, config=config))
+    node = node_config_from_dict({"id": 0, "peers": peers, "timers": config})
+    assert sc.config == node.cluster
+    bad = dict(config, bogus_ms=5)
+    with pytest.raises(ScenarioError, match="bogus_ms"):
+        scenario_from_dict(dict(SYM20, config=bad))
+    with pytest.raises(ConfigError, match="bogus_ms"):
+        node_config_from_dict({"id": 0, "peers": peers, "timers": bad})
+
+
 def test_latency_expectation_ordering():
     sc = scenario_from_dict(SYM20)
     exp = latency_expectation(sc, client_site=3, leader=0)
@@ -157,6 +181,8 @@ RECORDED_TRACES = {
               "cb6951afde2b06b37992db2f9ea87cafe78c10ad63862ee67ce7be50bd54305e"),
     "crash_leader": (lambda: load_scenario("scenarios/crash_leader.json"), 7,
                      "679b2d98bce65b6fcca67f9f18499a41dcf5c02cee55f624599100c972d60d7a"),
+    "zipf_open": (lambda: scenario_from_dict(ZIPF_OPEN), 5,
+                  "0c089b6fd9eac9919993b6d658da245c96309cc60a2113edce98037964099130"),
 }
 
 
