@@ -27,8 +27,6 @@ def sim_main(argv: list[str] | None = None) -> int:
                       help="run the linearizability checker on the history")
 
     exp = sub.add_parser("explore", help="bounded interleaving exploration")
-    exp.add_argument("--nodes", type=int, default=3)
-    exp.add_argument("--ballots", type=int, default=3)
     exp.add_argument("--mutant", choices=["commit_no_responder_coverage", "stable_no_thresh"],
                      help="run against a seeded bug; a counterexample is the expected outcome")
     exp.add_argument("--budget-runs", type=int, default=12_000)
@@ -72,8 +70,7 @@ def sim_main(argv: list[str] | None = None) -> int:
         return rc
 
     muts = frozenset({args.mutant}) if args.mutant else frozenset()
-    res = explore_interleavings(nodes=args.nodes, ballots=args.ballots,
-                                mutations=muts, budget_runs=args.budget_runs)
+    res = explore_interleavings(muts, args.budget_runs)
     print(res.summary())
     return 0 if res.ok else 1
 

@@ -8,13 +8,20 @@ socket itself.
 One event or effect object is built per message, timer and client request,
 so these are plain slots dataclasses: frozen ones cost several times more to
 construct. They are values all the same and are never mutated.
+
+The four events are also messages of the wire codec (`bodega.messages`):
+`ClientRequest` and `OperatorRequest` are what a client sends to a node's
+client port, and every event is one row of the daemon's event log.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .messages import Msg
 from .model import Command, Roster
+
+if TYPE_CHECKING:
+    from .messages import Msg
 
 # Timer keys are tuples: ("hb_tick",), ("hb_fail", peer), ("lease", intent, peer),
 # ("batch",), ("tune",). Re-arming a key replaces the previous deadline.

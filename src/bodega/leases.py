@@ -203,9 +203,6 @@ class LeaseEngine:
 
     # ------------------------------------------------------------- stability
 
-    def grant_count(self) -> int:
-        return len(self.endowed)
-
     def is_stable(self, committed_prefix: int, no_thresh_check: bool = False) -> bool:
         """True iff this node holds a majority of grants whose safety
         thresholds are covered by the locally committed prefix.

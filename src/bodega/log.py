@@ -194,17 +194,6 @@ class ConsensusLog:
             return lst[-1]
         return 0
 
-    def highest_committed_value(self, key: bytes) -> bytes | None:
-        """Value from the highest committed slot writing `key`, else the
-        snapshot, else None."""
-        lst = self.key_index.get(key)
-        if lst:
-            for idx in reversed(lst):
-                s = self.slots[idx]
-                if s.status >= SlotStatus.COMMITTED:
-                    return s.value_of(key)
-        return self.snap_kv.get(key)
-
     # ------------------------------------------------------------- snapshots
 
     def take_snapshot(self) -> int:
@@ -247,13 +236,3 @@ class ConsensusLog:
             s = self.slots[idx]
             out.append((idx, s.bal, s.batch, s.status >= SlotStatus.COMMITTED))
         return tuple(out)
-
-    def missing_below(self, upto: int) -> list[int]:
-        """Slot indices <= upto that are not yet committed locally (candidates
-        for commit marking or catch-up)."""
-        lo = max(self.snap_upto, self.commit_prefix)
-        return [
-            i
-            for i in range(lo + 1, upto + 1)
-            if i not in self.slots or self.slots[i].status < SlotStatus.COMMITTED
-        ]

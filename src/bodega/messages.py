@@ -2,11 +2,16 @@
 
 Every message is a frozen dataclass with a `kind` tag. Byte-string fields
 cross the JSON boundary latin-1 encoded so arbitrary bytes round-trip.
+The core's input events (`bodega.events`) go through the same codec: a
+client sends a `ClientRequest` or `OperatorRequest` as is, and the daemon's
+event log stores each event in this form, a `Deliver` with its message
+nested.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .events import ClientRequest, Deliver, OperatorRequest, TimerFire
 from .model import Ballot, Command, Roster
 
 
@@ -131,31 +136,8 @@ class StatsReport(Msg):
 
 
 # -------------------------------------------------------------- client-facing
-
-@dataclass(frozen=True, slots=True)
-class ClientRead(Msg):
-    key: bytes
-    request_id: str
-    preferred: int = -1
-    want_roster: bool = False
-    fresh: bool = True
-
-
-@dataclass(frozen=True, slots=True)
-class ClientWrite(Msg):
-    key: bytes
-    value: bytes
-    request_id: str
-    preferred: int = -1
-    want_roster: bool = False
-    fresh: bool = True
-
-
-@dataclass(frozen=True, slots=True)
-class CtlRequest(Msg):
-    verb: str  # "roster_get" | "roster_set" | "stats"
-    roster: Roster | None = None
-
+# (the replies; a client's requests are `events.ClientRequest` and
+# `events.OperatorRequest`)
 
 @dataclass(frozen=True, slots=True)
 class ClientReadReply(Msg):
@@ -196,21 +178,13 @@ class CtlReply(Msg):
 
 # ----------------------------------------------------------------- the codec
 
-_KINDS: dict[str, type] = {}
-
-
-def _register(cls: type) -> None:
-    _KINDS[cls.__name__] = cls
-
-
-for _cls in (
+_KINDS: dict[str, type] = {cls.__name__: cls for cls in (
     Guard, GuardReply, Renew, RenewReply, Revoke, RevokeReply,
     Prepare, PrepareReply, Accept, AcceptReply, AcceptNote, Commit,
     CatchUpRequest, CatchUpReply, Heartbeat, FullRosterRequest, StatsReport,
-    ClientRead, ClientWrite, CtlRequest,
     ClientReadReply, ClientWriteReply, ClientRedirect, ClientUnavailable, CtlReply,
-):
-    _register(_cls)
+    ClientRequest, OperatorRequest, Deliver, TimerFire,
+)}
 
 
 def _enc(v):
@@ -222,6 +196,8 @@ def _enc(v):
         return {"_c": v.to_wire()}
     if isinstance(v, bytes):
         return {"_y": v.decode("latin-1")}
+    if isinstance(v, Msg):
+        return msg_to_wire(v)
     if isinstance(v, (tuple, list)):
         return [_enc(x) for x in v]
     if isinstance(v, frozenset):
@@ -239,14 +215,17 @@ def _dec(v):
             return Command.from_wire(v["_c"])
         if "_y" in v:
             return v["_y"].encode("latin-1")
+        if "kind" in v:
+            return msg_from_wire(v)
         return v
     if isinstance(v, list):
         return tuple(_dec(x) for x in v)
     return v
 
 
-def msg_to_wire(msg: Msg) -> dict:
-    """Encode a message to a JSON-serializable dict with a `kind` tag."""
+def msg_to_wire(msg) -> dict:
+    """Encode a message or event to a JSON-serializable dict with a `kind`
+    tag."""
     out: dict = {"kind": type(msg).__name__}
     for f in fields(msg):
         out[f.name] = _enc(getattr(msg, f.name))
@@ -257,8 +236,10 @@ class UnknownKindError(ValueError):
     pass
 
 
-def msg_from_wire(d: dict) -> Msg:
-    """Decode a dict produced by msg_to_wire; raises UnknownKindError."""
+def msg_from_wire(d: dict):
+    """Decode a dict produced by msg_to_wire; raises UnknownKindError.
+    Keys that are not fields of the kind (an event-log row's `t`) are
+    ignored."""
     kind = d.get("kind")
     cls = _KINDS.get(kind)
     if cls is None:

@@ -240,6 +240,24 @@ def _ms_to_us(v) -> int:
     return int(round(float(v) * 1000))
 
 
+def _flag(v) -> bool:
+    if type(v) is not bool:
+        raise ValueError("must be true or false")
+    return v
+
+
+def _count(v) -> int:
+    if type(v) is not int or v < 0:
+        raise ValueError("must be a non-negative integer")
+    return v
+
+
+def _fraction(v) -> float:
+    if type(v) not in (int, float) or not 0 <= v < 1:
+        raise ValueError("must be a number in [0, 1)")
+    return v
+
+
 # A cluster's settings as scenario files and node configs spell them:
 # key -> (ClusterConfig field, conversion). Durations are milliseconds there.
 CLUSTER_KEYS = {
@@ -250,18 +268,18 @@ CLUSTER_KEYS = {
     "batch_ms": ("batch_interval", _ms_to_us),
     "unhold_floor_ms": ("t_unhold", _ms_to_us),
     "tune_window_ms": ("tune_window", _ms_to_us),
-    "hb_fail_jitter": ("hb_fail_jitter", lambda v: v),
-    "snapshot_every": ("snapshot_every", lambda v: v),
-    "auto_tune": ("auto_tune", lambda v: v),
-    "early_notes": ("early_accept_notes", bool),
+    "hb_fail_jitter": ("hb_fail_jitter", _fraction),
+    "snapshot_every": ("snapshot_every", _count),
+    "auto_tune": ("auto_tune", _flag),
+    "early_notes": ("early_accept_notes", _flag),
 }
 
 
 def cluster_config_from_dict(n: int, d: dict) -> ClusterConfig:
     """ClusterConfig from the keys of CLUSTER_KEYS. `guard_ms` is accepted
     for older files and must equal the lease. Raises SettingError naming an
-    unknown or inconsistent key, and ValueError when the timers break
-    ClusterConfig's rules."""
+    unknown, ill-typed or inconsistent key, and ValueError when the timers
+    break ClusterConfig's rules."""
     kw: dict = {}
     for k, v in d.items():
         if k == "guard_ms":
@@ -269,7 +287,10 @@ def cluster_config_from_dict(n: int, d: dict) -> ClusterConfig:
         if k not in CLUSTER_KEYS:
             raise SettingError(k, "unknown setting")
         name, conv = CLUSTER_KEYS[k]
-        kw[name] = conv(v)
+        try:
+            kw[name] = conv(v)
+        except (TypeError, ValueError) as e:
+            raise SettingError(k, str(e)) from None
     cfg = ClusterConfig(n=n, **kw)
     if "guard_ms" in d and _ms_to_us(d["guard_ms"]) != cfg.t_lease:
         raise SettingError("guard_ms", "must equal lease_ms")

@@ -253,7 +253,8 @@ class Node:
                 out += self._maybe_adopt(now)
         # commit propagation: the sender's committed prefix rides every beat
         if msg.commit_upto > self.log.commit_prefix:
-            out += self._absorb_commits(frm, msg.bal, msg.commit_upto, now)
+            out += self._commit_or_fetch(
+                frm, msg.bal, range(self.log.commit_prefix + 1, msg.commit_upto + 1), now)
         if msg.renew:
             out += self.leases.on_renew(frm, msg.bal, self.bal, now)
         if msg.renew_reply:
@@ -520,27 +521,21 @@ class Node:
         return out
 
     def _on_commit(self, frm: NodeId, msg: Commit, now: int) -> list[Output]:
+        return self._commit_or_fetch(frm, msg.bal, msg.slots, now)
+
+    def _commit_or_fetch(self, frm: NodeId, bal: Ballot, slots, now: int) -> list[Output]:
+        """`frm` reports `slots` committed at ballot `bal` (a Commit, or the
+        committed prefix a heartbeat carries). Commit the uncommitted ones
+        this node holds at `bal` or higher; fetch the rest from `frm` (a slot
+        held at a lower ballot may hold other content)."""
         out: list[Output] = []
         missing: list[int] = []
-        for idx in msg.slots:
+        for idx in slots:
             if idx <= self.log.snap_upto:
                 continue
             s = self.log.slots.get(idx)
-            if s is None or (s.bal < msg.bal and s.status < SlotStatus.COMMITTED):
-                missing.append(idx)
+            if s is not None and s.status >= SlotStatus.COMMITTED:
                 continue
-            if s.status < SlotStatus.COMMITTED:
-                out += self._commit(s)
-        if missing:
-            out.append(Send(frm, CatchUpRequest(tuple(missing[:MAX_CATCHUP_BATCH]))))
-        out += self._execute(now)
-        return out
-
-    def _absorb_commits(self, frm: NodeId, bal: Ballot, upto: int, now: int) -> list[Output]:
-        out: list[Output] = []
-        missing: list[int] = []
-        for idx in self.log.missing_below(upto):
-            s = self.log.slots.get(idx)
             if s is not None and s.bal >= bal:
                 out += self._commit(s)
             else:

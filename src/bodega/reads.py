@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .events import ClientRequest
 from .log import ConsensusLog, SlotStatus
-from .messages import ClientReadReply, ClientRedirect, ClientUnavailable, ClientWriteReply
-from .model import Ballot, NodeId, Roster
+from .messages import ClientReadReply, ClientRedirect, ClientUnavailable
+from .model import Ballot, Command, NodeId, Roster
 
 
 @dataclass(slots=True)
@@ -121,7 +122,7 @@ def responder_read(
 @dataclass(slots=True)
 class ClientSend:
     target: NodeId
-    fresh: bool
+    req: ClientRequest
 
 
 @dataclass(slots=True)
@@ -199,7 +200,7 @@ class ClientCache:
 
 @dataclass(slots=True)
 class ClientSession:
-    """Retry state for one in-flight operation.
+    """Retry state for one in-flight operation, `cmd`.
 
     Reads reissue with the same request id after the unhold timeout; writes
     re-send to the (possibly redirected) leader. The earliest reply wins and
@@ -207,26 +208,31 @@ class ClientSession:
     """
 
     cache: ClientCache
-    request_id: str
-    key: bytes
-    is_write: bool
+    client: str
+    cmd: Command
     started: int
     patience: int = 30_000_000  # give up entirely after this long
     contacted: list[NodeId] = field(default_factory=list)
     redirects: int = 0
     done: bool = False
 
+    def _send(self, target: NodeId, fresh: bool) -> ClientSend:
+        """Contact `target`: the request as the node receives it."""
+        self.contacted.append(target)
+        cache = self.cache
+        return ClientSend(target, ClientRequest(
+            self.client, self.cmd, cache.site, cache.wants_roster(), fresh))
+
     def begin(self) -> list:
         target = (
             self.cache.write_target()
-            if self.is_write
-            else self.cache.preference_order(self.key)[0]
+            if self.cmd.is_write()
+            else self.cache.preference_order(self.cmd.key)[0]
         )
-        self.contacted.append(target)
-        return [ClientSend(target, True), ClientArm(self.cache.unhold_after(self.started))]
+        return [self._send(target, True), ClientArm(self.cache.unhold_after(self.started))]
 
     def _next_target(self) -> NodeId | None:
-        for c in self.cache.preference_order(self.key):
+        for c in self.cache.preference_order(self.cmd.key):
             if c not in self.contacted:
                 return c
         return None
@@ -244,7 +250,7 @@ class ClientSession:
             self.done = True
             return [ClientDone("timeout", None)]
         nxt: NodeId | None = None
-        if self.is_write:
+        if self.cmd.is_write():
             t = self.cache.write_target()
             if t not in self.contacted:
                 nxt = t
@@ -255,41 +261,24 @@ class ClientSession:
             nxt = self._next_target()
         out = []
         if nxt is not None:
-            self.contacted.append(nxt)
-            out.append(ClientSend(nxt, False))
+            out.append(self._send(nxt, False))
         out.append(ClientArm(self.cache.unhold_after(now)))
         return out
 
     def on_msg(self, msg, now: int) -> list:
-        """Feed one message from a node; anything but a reply to this
-        session's request is ignored."""
-        if getattr(msg, "request_id", None) != self.request_id:
+        """Feed one message from a node: one of the four replies, which
+        carry a request id. Anything else, or a reply to another request, is
+        ignored."""
+        if getattr(msg, "request_id", None) != self.cmd.request_id:
             return []
         t = type(msg)
-        if t is ClientReadReply:
-            return self.on_reply("read", msg.value, None, msg.bal, msg.roster, now)
-        if t is ClientWriteReply:
-            return self.on_reply("write", None, None, msg.bal, msg.roster, now)
-        if t is ClientRedirect:
-            return self.on_reply("redirect", None, msg.target, msg.bal, msg.roster, now)
         if t is ClientUnavailable:
-            return self.on_reply("unavailable", None, None, None, None, now)
-        return []
-
-    def on_reply(self, kind: str, value: bytes | None, target: NodeId | None,
-                 bal: Ballot | None, roster: Roster | None, now: int) -> list:
-        """kind: "read" | "write" | "redirect" | "unavailable"."""
-        self.cache.learn(bal, roster)
+            return []  # retry on the timer
+        self.cache.learn(msg.bal, msg.roster)
         if self.done:
             return []
-        if kind in ("read", "write"):
-            self.done = True
-            if self.is_write and self.cache.roster is not None and self.contacted:
-                if self.contacted[-1] == self.cache.roster.leader:
-                    self.cache.leader_rtt = now - self.started
-            return [ClientDone("ok", value)]
-        if kind == "redirect" and target is not None:
-            if target in self.contacted:
+        if t is ClientRedirect:
+            if msg.target in self.contacted:
                 # wait for the timer rather than hammering the same nodes; a
                 # redirect not followed is no step of a redirect chain
                 return []
@@ -297,6 +286,9 @@ class ClientSession:
             if self.redirects > 2 * self.cache.n:
                 self.done = True
                 return [ClientDone("redirected", None)]
-            self.contacted.append(target)
-            return [ClientSend(target, False), ClientArm(self.cache.unhold_after(now))]
-        return []  # unavailable: retry on the timer
+            return [self._send(msg.target, False), ClientArm(self.cache.unhold_after(now))]
+        self.done = True
+        if self.cmd.is_write() and self.cache.roster is not None and self.contacted:
+            if self.contacted[-1] == self.cache.roster.leader:
+                self.cache.leader_rtt = now - self.started
+        return [ClientDone("ok", msg.value if t is ClientReadReply else None)]

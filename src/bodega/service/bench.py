@@ -1,6 +1,8 @@
 """Workload driver against a live cluster: closed- or open-loop clients,
 per-client latency samples (CSV), a JSON summary, and a history file the
-linearizability checker can consume."""
+linearizability checker can consume. An open-loop client issues its ops on a
+fixed schedule, so a slow op delays the ones behind it and their latencies
+show that wait."""
 from __future__ import annotations
 
 import asyncio
@@ -15,30 +17,38 @@ from .config import WorkloadSpec
 
 
 async def _client_task(cid: str, site: int, addrs: list[str], spec: WorkloadSpec, ops: OpGen,
-                       seed: int, stop_at: float, records: list[dict]) -> None:
+                       seed: int, stop_at: int, records: list[dict]) -> None:
+    """Run one client until `stop_at` (monotonic microseconds). Closed loop:
+    the next op starts when the last one ends. Open loop: op k is due at
+    k / rate after the start; one that comes due while the previous op is in
+    flight starts as soon as that op ends, and its invoke and latency count
+    from its due time. No op starts after `stop_at`."""
     rng = random.Random(seed)
     cli = KvClient(addrs, site, cid, spec.unhold_floor_ms, spec.op_timeout_s)
-    period = 1.0 / spec.open_rate_per_s if spec.open_rate_per_s > 0 else 0.0
+    period = int(1_000_000 / spec.open_rate_per_s) if spec.open_rate_per_s > 0 else 0
+    due = mono_us()
     n = 0
     try:
-        while time.monotonic() < stop_at:
+        while (now := mono_us()) < stop_at and due < stop_at:
+            if due > now:
+                await asyncio.sleep((due - now) / 1e6)
+            invoke = due if period else now
+            due = invoke + period
             n += 1
             key, value = ops.draw(rng, cid, n)
             op = "get" if value is None else "put"
-            invoke = mono_us()
-            outcome, got, lat = await cli.op(op, key, value, request_id=f"{cid}.{n}")
+            outcome, got, _lat = await cli.op(op, key, value, request_id=f"{cid}.{n}")
+            end = mono_us()
             if op == "get":
                 value = got
             records.append({
                 "client": cid, "site": site, "op": op,
                 "key": key.decode("latin-1"),
                 "value": None if value is None else value.decode("latin-1"),
-                "invoke": invoke, "response": invoke + lat if outcome == "ok" else None,
-                "outcome": outcome, "latency_us": lat,
+                "invoke": invoke, "response": end if outcome == "ok" else None,
+                "outcome": outcome, "latency_us": end - invoke,
                 "request_id": f"{cid}.{n}",
             })
-            if period:
-                await asyncio.sleep(period)
     finally:
         await cli.close()
 
@@ -74,7 +84,7 @@ async def bench(spec: WorkloadSpec, client_addrs: list[str], seed: int = 0,
     spec.validate(len(client_addrs))
     records: list[dict] = []
     ops = OpGen(spec.keys, spec.key_len, spec.value_len, spec.write_ratio, spec.zipf_theta)
-    stop_at = time.monotonic() + spec.duration_s
+    stop_at = mono_us() + int(spec.duration_s * 1_000_000)
     tasks = []
     idx = 0
     for site, count in spec.clients:

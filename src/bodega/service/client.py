@@ -5,8 +5,9 @@ from __future__ import annotations
 import asyncio
 import time
 
-from ..messages import ClientRead, ClientWrite, CtlReply, CtlRequest, Msg
-from ..model import Roster
+from ..events import OperatorRequest
+from ..messages import CtlReply
+from ..model import Command, Roster
 from ..reads import ClientArm, ClientCache, ClientDone, ClientSend, ClientSession
 from .config import PeerAddr
 from .wire import FrameReader, encode
@@ -61,7 +62,7 @@ class KvClient:
         except (ConnectionError, ValueError):
             return
 
-    async def _send(self, node: int, msg: Msg) -> None:
+    async def _send(self, node: int, msg) -> None:
         try:
             _r, w = await self._conn(node)
             self.seq += 1
@@ -75,22 +76,16 @@ class KvClient:
         """Run one op to completion; returns (outcome, value, latency_us)."""
         self._op_n += 1
         rid = request_id or f"{self.cid}.{self._op_n}"
+        cmd = Command(op, key, (value or b"") if op == "put" else None, rid)
         started = mono_us()
-        sess = ClientSession(self.cache, rid, key, op == "put", started, self.patience)
+        sess = ClientSession(self.cache, self.cid, cmd, started, self.patience)
         outs = sess.begin()
         deadline = started + self.cache.unhold_floor
         while True:
             done: ClientDone | None = None
             for o in outs:
                 if isinstance(o, ClientSend):
-                    msg: Msg
-                    if op == "put":
-                        msg = ClientWrite(key, value or b"", rid, self.cache.site,
-                                          self.cache.wants_roster(), o.fresh)
-                    else:
-                        msg = ClientRead(key, rid, self.cache.site,
-                                         self.cache.wants_roster(), o.fresh)
-                    await self._send(o.target, msg)
+                    await self._send(o.target, o.req)
                 elif isinstance(o, ClientArm):
                     deadline = o.deadline
                 elif isinstance(o, ClientDone):
@@ -118,7 +113,7 @@ async def ctl_request(addr: str, verb: str, roster: Roster | None = None,
     host, port = PeerAddr.parse(addr)
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write(encode("ctl", 1, CtlRequest(verb, roster)))
+        writer.write(encode("ctl", 1, OperatorRequest(verb, "ctl", roster)))
         await writer.drain()
         frames = FrameReader()
         deadline = time.monotonic() + timeout_s

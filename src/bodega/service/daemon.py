@@ -4,64 +4,26 @@ sockets and real timers.
 One task owns the core and consumes a single ordered event queue; connection
 handlers and timers only enqueue. The core never reads the clock: `now` is
 sampled once per dequeued event, so a recorded event log replays to an
-identical state digest.
+identical state digest. A row of that log is the event in the message
+codec's form plus its `t`.
 """
 from __future__ import annotations
 
 import asyncio
 import time
 
-from ..events import ArmTimer, CancelTimer, ClientRequest, Deliver, Event, OperatorRequest, Reply, Send, TimerFire
-from ..messages import (
-    ClientRead,
-    ClientWrite,
-    CtlRequest,
-    Msg,
-    msg_from_wire,
-    msg_to_wire,
-)
-from ..model import Command, Roster
+from ..events import ArmTimer, CancelTimer, ClientRequest, Deliver, OperatorRequest, Reply, Send, TimerFire
+from ..messages import Msg, msg_from_wire, msg_to_wire
 from ..node import Node
 from .config import NodeConfig, PeerAddr
 from .wire import FrameReader, WireError, encode
 
 
+_CLIENT_REQUESTS = (ClientRequest, OperatorRequest)
+
+
 def mono_us() -> int:
     return time.monotonic_ns() // 1000
-
-
-# ---------------------------------------------------------- event (de)coding
-
-def event_to_wire(ev: Event, now: int) -> dict:
-    if isinstance(ev, Deliver):
-        return {"t": now, "kind": "deliver", "frm": ev.frm, "msg": msg_to_wire(ev.msg)}
-    if isinstance(ev, TimerFire):
-        return {"t": now, "kind": "timer", "key": list(ev.key)}
-    if isinstance(ev, ClientRequest):
-        return {
-            "t": now, "kind": "client", "client": ev.client,
-            "cmd": ev.cmd.to_wire(),
-            "preferred": ev.preferred, "want_roster": ev.want_roster, "fresh": ev.fresh,
-        }
-    if isinstance(ev, OperatorRequest):
-        return {"t": now, "kind": "operator", "verb": ev.verb, "client": ev.client,
-                "roster": None if ev.roster is None else ev.roster.to_wire()}
-    raise TypeError(f"unknown event {ev!r}")
-
-
-def event_from_wire(d: dict) -> tuple[Event, int]:
-    kind = d["kind"]
-    if kind == "deliver":
-        return Deliver(int(d["frm"]), msg_from_wire(d["msg"])), d["t"]
-    if kind == "timer":
-        return TimerFire(tuple(d["key"])), d["t"]
-    if kind == "client":
-        cmd = Command.from_wire(d["cmd"])
-        return ClientRequest(d["client"], cmd, d["preferred"], d["want_roster"], d["fresh"]), d["t"]
-    if kind == "operator":
-        ros = None if d["roster"] is None else Roster.from_wire(d["roster"])
-        return OperatorRequest(d["verb"], d["client"], ros), d["t"]
-    raise ValueError(f"unknown recorded event kind {kind!r}")
 
 
 def replay_digest(cfg: NodeConfig, rows: list[dict]) -> str:
@@ -71,8 +33,7 @@ def replay_digest(cfg: NodeConfig, rows: list[dict]) -> str:
         node.start(rows[0]["t"])
         rows = rows[1:]
     for row in rows:
-        ev, now = event_from_wire(row)
-        node.handle(ev, now)
+        node.handle(msg_from_wire(row), row["t"])
     return node.state_digest()
 
 
@@ -183,7 +144,7 @@ class Daemon:
             ev = await self.queue.get()
             now = mono_us()
             if self.cfg.record_events:
-                self.event_log.append(event_to_wire(ev, now))
+                self.event_log.append({"t": now, **msg_to_wire(ev)})
             try:
                 outs = self.node.handle(ev, now)
             except Exception:  # a poisoned event must not kill the daemon
@@ -261,13 +222,14 @@ class Daemon:
                 if not data:
                     break
                 for env in frames.feed(data):
-                    cid = env.frm
-                    if cid not in conn_clients:
-                        conn_clients.add(cid)
-                        self.client_writers[cid] = writer
-                    ev = self._client_event(cid, env.msg)
-                    if ev is not None:
-                        await self.queue.put(ev)
+                    # a client speaks only for itself, and only in requests
+                    msg = env.msg
+                    if type(msg) not in _CLIENT_REQUESTS or msg.client != env.frm:
+                        continue
+                    if msg.client not in conn_clients:
+                        conn_clients.add(msg.client)
+                        self.client_writers[msg.client] = writer
+                    await self.queue.put(msg)
         except (WireError, ConnectionError, ValueError):
             pass
         finally:
@@ -275,17 +237,6 @@ class Daemon:
                 if self.client_writers.get(cid) is writer:
                     del self.client_writers[cid]
             writer.close()
-
-    def _client_event(self, cid: str, msg: Msg) -> Event | None:
-        if isinstance(msg, ClientRead):
-            cmd = Command("get", msg.key, None, msg.request_id)
-            return ClientRequest(cid, cmd, msg.preferred, msg.want_roster, msg.fresh)
-        if isinstance(msg, ClientWrite):
-            cmd = Command("put", msg.key, msg.value, msg.request_id)
-            return ClientRequest(cid, cmd, msg.preferred, msg.want_roster, msg.fresh)
-        if isinstance(msg, CtlRequest):
-            return OperatorRequest(msg.verb, cid, msg.roster)
-        return None
 
 
 async def serve(cfg: NodeConfig) -> Daemon:

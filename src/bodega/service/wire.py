@@ -11,6 +11,7 @@ import json
 import struct
 from dataclasses import dataclass
 
+from ..events import Event
 from ..messages import Msg, UnknownKindError, msg_from_wire, msg_to_wire
 
 PROTO_VERSION = 1
@@ -26,10 +27,10 @@ class WireError(ValueError):
 class Envelope:
     frm: str  # "n3" for nodes, client ids otherwise
     seq: int
-    msg: Msg
+    msg: Msg | Event  # a client request is an event of the core
 
 
-def encode(frm: str, seq: int, msg: Msg) -> bytes:
+def encode(frm: str, seq: int, msg: Msg | Event) -> bytes:
     body = json.dumps({
         "proto_version": PROTO_VERSION,
         "from": frm,

@@ -7,8 +7,8 @@ schedule variations:
   * the responder assignment of the initial roster,
   * an optional mid-run roster change,
   * one optional crash (node x instant),
-  * up to `max_delays` consensus/lease message deliveries postponed by a
-    fixed large amount, enumerated over the first `max_send_index` such
+  * up to `MAX_DELAYS` consensus/lease message deliveries postponed by a
+    fixed large amount, enumerated over the first `MAX_SEND_INDEX` such
     sends (delay-bounded exploration).
 
 Every run is checked for linearizability, agreement, and the
@@ -29,6 +29,9 @@ from .scenario import scenario_from_dict
 
 INTERESTING = (Accept, AcceptReply, AcceptNote, Commit, CatchUpRequest, CatchUpReply)
 EXTRA_DELAY = 300_000
+MAX_SEND_INDEX = 36
+MAX_DELAYS = 2
+TIME_BUDGET_S = 110.0
 
 
 @dataclass(slots=True)
@@ -130,24 +133,14 @@ def _one_run(cfg: ExploreConfig, mutations: frozenset[str], seed: int = 0) -> tu
 
 
 def explore_interleavings(
-    nodes: int = 3,
-    ballots: int = 3,
     mutations: frozenset[str] = frozenset(),
-    max_send_index: int = 36,
-    max_delays: int = 2,
     budget_runs: int = 12_000,
-    time_budget_s: float = 110.0,
 ) -> ExploreResult:
     """Systematic bounded search; returns the first counterexample if any.
 
     The configuration space is fixed at 3 nodes and at most 3 ballot rounds
-    (initial announcement, one proactive change, one failure-induced change);
-    `nodes`/`ballots` are validated against that bound.
+    (initial announcement, one proactive change, one failure-induced change).
     """
-    if nodes != 3:
-        raise ValueError("the bounded exploration space is fixed at 3 nodes")
-    if ballots < 3:
-        raise ValueError("at least 3 ballot rounds are exercised")
     started = time.monotonic()
     runs = 0
     budget_exhausted = False
@@ -159,7 +152,7 @@ def explore_interleavings(
             crash_choices.append((node, at_ms * 1000))
 
     def out_of_budget() -> bool:
-        return runs >= budget_runs or time.monotonic() - started > time_budget_s
+        return runs >= budget_runs or time.monotonic() - started > TIME_BUDGET_S
 
     def attempt(cfg: ExploreConfig) -> dict | None:
         nonlocal runs
@@ -170,10 +163,8 @@ def explore_interleavings(
         return None
 
     # pass 1: delay-only schedules (0, 1, then 2 postponed deliveries)
-    delay_sets: list[tuple[int, ...]] = [()]
-    delay_sets += [(i,) for i in range(max_send_index)]
-    if max_delays >= 2:
-        delay_sets += [p for p in combinations(range(max_send_index), 2)]
+    delay_sets = [d for k in range(MAX_DELAYS + 1)
+                  for d in combinations(range(MAX_SEND_INDEX), k)]
     for resp in responder_choices:
         for change in (False, True):
             for delays in delay_sets:
@@ -189,7 +180,7 @@ def explore_interleavings(
     for crash in crash_choices[1:]:
         for resp in responder_choices:
             for change in (False, True):
-                for delays in [()] + [(i,) for i in range(max_send_index)]:
+                for delays in delay_sets[:MAX_SEND_INDEX + 1]:  # sizes 0 and 1
                     if out_of_budget():
                         budget_exhausted = True
                         return ExploreResult(True, runs, True,

@@ -138,7 +138,6 @@ class _ClientState:
     ops_done: int = 0
     session: ClientSession | None = None
     record: OpRecord | None = None
-    cmd: Command | None = None  # the in-flight op, as every send carries it
     timer: _Timer = field(default_factory=_Timer)
     closed_loop: bool = True
 
@@ -250,17 +249,15 @@ class Simulation:
         self.seq += 1
         heapq.heappush(self.heap, (self.now + d, self.seq, "nmsg", (to, frm, msg)))
 
-    def _send_client_req(self, cs: _ClientState, target: int, cmd: Command, fresh: bool) -> None:
+    def _send_client_req(self, cs: _ClientState, target: int, req: ClientRequest) -> None:
         d = self.net.client_delay(cs.site, target)
         if self.delay_chooser is not None and cs.site != target:
             d = self.delay_chooser(self.sends, cs.site, target, d, None)
         self.sends += 1
         if d is None:
             return
-        want = cs.cache.wants_roster()
-        ev = ClientRequest(cs.cid, cmd, preferred=cs.site, want_roster=want, fresh=fresh)
         self.seq += 1
-        heapq.heappush(self.heap, (self.now + d, self.seq, "creq", (target, ev)))
+        heapq.heappush(self.heap, (self.now + d, self.seq, "creq", (target, req)))
 
     def _reply_to_client(self, frm_node: int, client: str, msg) -> None:
         cs = self.clients.get(client)
@@ -414,7 +411,7 @@ class Simulation:
                     continue
                 if cs.record is not None:
                     cs.record.contacted = len(set(sess.contacted))
-                self._send_client_req(cs, o.target, cs.cmd, o.fresh)
+                self._send_client_req(cs, o.target, o.req)
             elif isinstance(o, ClientArm):
                 self._arm(cs.timer, o.deadline, "ctimer", (cs.cid,))
             elif isinstance(o, ClientDone):
@@ -438,16 +435,9 @@ class Simulation:
                         self._push(nxt, "cbegin", cs.cid)
 
     def _begin_op(self, cs: _ClientState, op: str, key: bytes, value: bytes | None, rid: str) -> None:
-        sess = ClientSession(
-            cache=cs.cache,
-            request_id=rid,
-            key=key,
-            is_write=op == "put",
-            started=self.now,
-            patience=self.sc.workload.op_timeout,
-        )
+        sess = ClientSession(cs.cache, cs.cid, Command(op, key, value, rid), self.now,
+                             self.sc.workload.op_timeout)
         cs.session = sess
-        cs.cmd = Command(op, key, value, rid)
         cs.record = OpRecord(
             client=cs.cid, request_id=rid, op=op, key=key, value=value,
             invoke=self.now, response=None, outcome="timeout",

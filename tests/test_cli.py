@@ -50,8 +50,7 @@ def test_lincheck_cli_verdicts(tmp_path, capsys):
 
 
 def test_sim_explore_smoke_budgeted(capsys):
-    rc = sim_main(["explore", "--nodes", "3", "--ballots", "3",
-                   "--budget-runs", "40"])
+    rc = sim_main(["explore", "--budget-runs", "40"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "no violation" in out

@@ -177,9 +177,9 @@ def test_timer_expiry_removes_from_set():
     e = make_engine()
     e.on_guard(3, B, 9, cur_bal=B, now=0)
     e.on_renew(3, B, cur_bal=B, now=10)
-    assert e.grant_count() == 1
+    assert len(e.endowed) == 1
     assert e.on_timer("endowed", 3)
-    assert e.grant_count() == 0
+    assert len(e.endowed) == 0
     assert not e.on_timer("endowed", 3)  # already removed
 
 

@@ -110,7 +110,6 @@ def test_snapshot_truncates_and_serves():
     assert log.highest_write_slot(b"k1") == 0
     # never-rewritten key answered from the snapshot
     assert log.read_value(b"k1") == b"v99"
-    assert log.highest_committed_value(b"k1") == b"v99"
 
 
 def test_snapshot_of_empty_log():
@@ -129,7 +128,6 @@ def test_value_after_snapshot_wins_over_snapshot():
     log.mark_committed(2)
     log.execute_ready()
     assert log.read_value(b"x") == b"new"
-    assert log.highest_committed_value(b"x") == b"new"
 
 
 def test_install_snapshot():
@@ -141,7 +139,7 @@ def test_install_snapshot():
     assert log.read_value(b"x") == b"5"
 
 
-def test_accepted_tail_and_missing_below():
+def test_accepted_tail():
     log = ConsensusLog()
     log.record_accept(3, B1, (put(b"x", b"3", "c"),))
     log.record_accept(5, B1, (put(b"x", b"5", "e"),))
@@ -149,4 +147,3 @@ def test_accepted_tail_and_missing_below():
     tail = log.accepted_tail(3)
     assert [t[0] for t in tail] == [3, 5]
     assert tail[0][3] is True and tail[1][3] is False
-    assert log.missing_below(5) == [1, 2, 4, 5]

@@ -1,0 +1,41 @@
+"""Node-level tests of the core's own steps, driven through `Node.handle`."""
+import pytest
+
+from bodega.events import Deliver, Send
+from bodega.log import SlotStatus
+from bodega.messages import CatchUpRequest, Commit, Heartbeat
+from bodega.model import Ballot, ClusterConfig, Command
+from bodega.node import MAX_CATCHUP_BATCH, Node
+
+B1, B2, B3 = Ballot(1, 0), Ballot(2, 0), Ballot(3, 0)
+NOW = 1_000_000
+
+
+def _node() -> Node:
+    """Node 1 holding slot 1 at B2, nothing at 2, slot 3 at B1, slot 4 at
+    B3, and slot 5 committed at B1."""
+    node = Node(1, ClusterConfig(n=3))
+    for idx, bal in ((1, B2), (3, B1), (4, B3), (5, B1)):
+        node.log.record_accept(idx, bal, (Command("put", b"k", b"v%d" % idx, f"r{idx}"),))
+    node.log.mark_committed(5)
+    return node
+
+
+@pytest.mark.parametrize("report", [
+    lambda upto: Commit(B2, tuple(range(1, upto + 1))),
+    lambda upto: Heartbeat(B2, None, commit_upto=upto),
+], ids=["Commit", "Heartbeat.commit_upto"])
+@pytest.mark.parametrize("upto", [5, 200])
+def test_reported_commits_are_committed_or_fetched(report, upto):
+    """Slots held at the reported ballot or higher commit; absent slots and
+    slots held at a lower ballot are fetched from the reporter, at most
+    MAX_CATCHUP_BATCH of them in one CatchUpRequest."""
+    node = _node()
+    outs = node.handle(Deliver(0, report(upto)), NOW)
+    status = {i: s.status for i, s in node.log.slots.items()}
+    assert status[1] >= SlotStatus.COMMITTED and status[4] >= SlotStatus.COMMITTED
+    assert status[3] == SlotStatus.ACCEPTED
+    fetches = [(o.to, o.msg.slots) for o in outs
+               if type(o) is Send and type(o.msg) is CatchUpRequest]
+    want = ([2, 3] + list(range(6, upto + 1)))[:MAX_CATCHUP_BATCH]
+    assert fetches == [(0, tuple(want))]

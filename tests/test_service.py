@@ -1,15 +1,19 @@
 """Networked deployment tests: wire framing robustness, a real localhost
-cluster driven through the client library and the operator interface, and
-event-log replay parity with the protocol core."""
+cluster driven through the client library, the operator interface and the
+bench driver, the client port's input check, and event-log replay parity
+with the protocol core."""
 import asyncio
 import json
 import socket
 
 import pytest
 
-from bodega.messages import ClientRead, CtlReply, Guard, msg_from_wire, msg_to_wire
-from bodega.model import Ballot, full_range_roster
-from bodega.service.config import ConfigError, node_config_from_dict
+from bodega.events import ClientRequest, Deliver, OperatorRequest, TimerFire
+from bodega.lincheck import check_file
+from bodega.messages import Accept, CtlReply, Guard, msg_from_wire, msg_to_wire
+from bodega.model import Ballot, Command, full_range_roster
+from bodega.service.bench import bench
+from bodega.service.config import ConfigError, WorkloadSpec, node_config_from_dict
 from bodega.service.daemon import Daemon, replay_digest
 from bodega.service.client import KvClient, ctl_request
 from bodega.service.wire import FrameReader, WireError, decode_body, encode
@@ -88,11 +92,9 @@ def test_oversized_frame_rejected():
 
 def test_msg_codec_roundtrips_everything():
     from bodega.messages import (
-        Accept, AcceptNote, AcceptReply, CatchUpReply, Commit, Heartbeat,
+        AcceptNote, AcceptReply, CatchUpReply, Commit, Heartbeat,
         PrepareReply, StatsReport,
     )
-    from bodega.model import Command
-
     cmds = (Command("put", b"k", b"v", "r1"), Command("get", b"k", None, "r2"))
     samples = [
         Accept(Ballot(2, 1), 7, cmds),
@@ -103,11 +105,26 @@ def test_msg_codec_roundtrips_everything():
         CatchUpReply(((7, Ballot(1, 1), cmds, False),), 3, ((b"a", b"b"),), ("r0",)),
         Heartbeat(Ballot(2, 1), full_range_roster(0, {1, 2}), True, False, 9),
         StatsReport(((b"k", 1, 3, 4),)),
-        ClientRead(b"k", "rid", 2, True, False),
         CtlReply(True, "", Ballot(1, 0), full_range_roster(0, set()), ((b"k", 0, 1, 2),)),
     ]
     for m in samples:
         assert msg_from_wire(msg_to_wire(m)) == m, m
+
+
+def test_msg_codec_roundtrips_events():
+    """Client requests go on the wire, and every event goes into the event
+    log, in the message codec's form."""
+    samples = [
+        ClientRequest("c1", Command("put", b"k", b"\xff", "c1.1"), 2, True, False),
+        ClientRequest("c1", Command("get", b"k", None, "c1.2")),
+        OperatorRequest("roster_set", "ctl", full_range_roster(0, {1, 2})),
+        OperatorRequest("stats"),
+        Deliver(1, Accept(Ballot(2, 1), 7, (Command("put", b"k", b"v", "r1"),))),
+        TimerFire(("lease", "guarding", 2)),
+        TimerFire(("hb_tick",)),
+    ]
+    for ev in samples:
+        assert msg_from_wire(json.loads(json.dumps(msg_to_wire(ev)))) == ev, ev
 
 
 # ------------------------------------------------------------- live cluster
@@ -174,6 +191,53 @@ def test_live_cluster_put_get_and_roster_ops():
     asyncio.run(main())
 
 
+def test_client_port_drops_what_is_not_the_senders_own_request():
+    """A client-port frame reaches the core only as a ClientRequest or
+    OperatorRequest naming the envelope's sender; anything else is dropped
+    with no reply and leaves no event."""
+    async def main():
+        cfg = cluster_configs(3, record_events=True)[0]
+        d = Daemon(cfg)
+        await d.start()
+        try:
+            reader, writer = await asyncio.open_connection(*cfg.peers[0].client.split(":"))
+            await asyncio.sleep(0.05)
+            digest = d.node.state_digest()
+            bad = [
+                Guard(Ballot(9, 1), 5),
+                Deliver(1, Accept(Ballot(9, 1), 1, (Command("put", b"k", b"v", "x.1"),))),
+                TimerFire(("tune",)),
+                ClientRequest("other", Command("put", b"k", b"v", "x.2")),
+                OperatorRequest("roster_set", "other", full_range_roster(0, {1})),
+            ]
+            for seq, msg in enumerate(bad, 1):
+                writer.write(encode("c1", seq, msg))
+            writer.write(encode("c1", len(bad) + 1, OperatorRequest("roster_get", "c1")))
+            await writer.drain()
+            frames, got = FrameReader(), []
+            while not got:
+                data = await asyncio.wait_for(reader.read(65536), 5)
+                assert data, "connection closed"
+                got = frames.feed(data)
+            await asyncio.sleep(0.05)
+            writer.close()
+            assert [type(e.msg) for e in got] == [CtlReply]
+            assert d.node.state_digest() == digest
+            assert set(d.client_writers) <= {"c1"}
+            # the node's own timers and self-sends aside (its tuner is off)
+            from_client = [r for r in d.event_log
+                           if r["kind"] in ("ClientRequest", "OperatorRequest")
+                           or (r["kind"] == "Deliver" and r["frm"] != 0)
+                           or (r["kind"] == "TimerFire" and r["key"] == ["tune"])]
+            assert from_client == [{"t": from_client[0]["t"], **msg_to_wire(
+                OperatorRequest("roster_get", "c1"))}]
+        finally:
+            await d.stop()
+            await asyncio.sleep(0.05)
+
+    asyncio.run(main())
+
+
 def test_live_cluster_redirect_and_local_read_paths():
     async def main():
         cfgs = cluster_configs(3)
@@ -228,6 +292,47 @@ def test_live_cluster_survives_node_kill():
             await _stop_cluster([d for i, d in enumerate(daemons) if i != 4])
 
     asyncio.run(main())
+
+
+@pytest.mark.parametrize("rate", [0.0, 40.0], ids=["closed", "open"])
+def test_bench_against_a_live_cluster(tmp_path, rate):
+    """bodega-bench's driver: a linearizable history, a summary that counts
+    its records, and an open loop that issues at most rate x duration + 1
+    ops per client whatever the cluster's speed."""
+    spec = WorkloadSpec(keys=8, key_len=4, value_len=16, write_ratio=0.3,
+                        clients=[(1, 1), (2, 1)], open_rate_per_s=rate,
+                        duration_s=1.0, op_timeout_s=5.0)
+
+    async def main():
+        cfgs = cluster_configs(3)
+        daemons = await _start_cluster(cfgs)
+        addrs = [c.peers[i].client for i, c in enumerate(cfgs)]
+        try:
+            assert (await ctl_request(addrs[0], "roster_set", full_range_roster(0, {1, 2}))).ok
+            await asyncio.sleep(0.5)
+            return await bench(spec, addrs, seed=3, csv_path=str(tmp_path / "ops.csv"),
+                               history_path=str(tmp_path / "hist.jsonl"))
+        finally:
+            await _stop_cluster(daemons)
+
+    summary = asyncio.run(main())
+    rows = [json.loads(line) for line in (tmp_path / "hist.jsonl").read_text().splitlines()]
+    assert rows and check_file(str(tmp_path / "hist.jsonl")) is None
+    ok = [r for r in rows if r["outcome"] == "ok"]
+    assert summary["reads"].get("count", 0) == sum(r["op"] == "get" for r in ok)
+    assert summary["writes"].get("count", 0) == sum(r["op"] == "put" for r in ok)
+    for site in ("1", "2"):
+        mine = [r for r in ok if r["client"].startswith(f"b{site}.")]
+        got = summary["per_site"][site]
+        assert got["reads"].get("count", 0) + got["writes"].get("count", 0) == len(mine)
+    per_client = {c: sum(r["client"] == c for r in rows) for c in {r["client"] for r in rows}}
+    assert len(per_client) == 2
+    if rate:
+        assert all(k <= rate * spec.duration_s + 1 for k in per_client.values()), per_client
+        # ops are invoked on the schedule, not a pause after the last reply
+        for c in per_client:
+            invokes = [r["invoke"] for r in rows if r["client"] == c]
+            assert {b - a for a, b in zip(invokes, invokes[1:])} == {int(1e6 / rate)}
 
 
 def test_node_config_validation():

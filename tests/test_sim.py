@@ -144,6 +144,21 @@ def test_scenario_config_and_node_timers_parse_alike():
         node_config_from_dict({"id": 0, "peers": peers, "timers": bad})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("auto_tune", "no"), ("auto_tune", 1), ("early_notes", "false"), ("early_notes", 0),
+    ("snapshot_every", -1), ("snapshot_every", 2.5), ("snapshot_every", True),
+    ("hb_fail_jitter", "0.1"), ("hb_fail_jitter", 1), ("hb_fail_jitter", -0.1),
+    ("hb_fail_jitter", False),
+])
+def test_ill_typed_settings_are_rejected_by_both_parsers(key, value):
+    peers = [{"peer": "127.0.0.1:1", "client": "127.0.0.1:2"}] * 5
+    with pytest.raises(ScenarioError) as e:
+        scenario_from_dict(dict(SYM20, config={key: value}))
+    assert e.value.field == f"config.{key}"
+    with pytest.raises(ConfigError, match=key):
+        node_config_from_dict({"id": 0, "peers": peers, "timers": {key: value}})
+
+
 def test_latency_expectation_ordering():
     sc = scenario_from_dict(SYM20)
     exp = latency_expectation(sc, client_site=3, leader=0)

@@ -22,6 +22,7 @@ from bodega.lincheck import check
 from bodega.messages import (
     Accept,
     AcceptReply,
+    ClientRedirect,
     ClientWriteReply,
     Commit,
     Revoke,
@@ -209,17 +210,18 @@ def test_nack_naming_own_ballot_does_not_stop_the_step_up():
 def test_client_redirects_it_does_not_follow_do_not_exhaust_it():
     cache = ClientCache(site=1, n=3)
     cache.learn(Ballot(1, 0), full_range_roster(0, {2}))
-    sess = ClientSession(cache, "w1", b"k", True, started=0, patience=10_000_000)
+    sess = ClientSession(cache, "c", Command("put", b"k", b"v", "w1"), started=0,
+                         patience=10_000_000)
     sess.begin()
     now = 0
     for _ in range(5 * cache.n):
         now += 60_000
         sess.on_timer(now)
         # the node just tried points back at the leader
-        outs = sess.on_reply("redirect", None, 0, cache.bal, None, now)
+        outs = sess.on_msg(ClientRedirect("w1", 0, cache.bal), now)
         assert not any(isinstance(o, ClientDone) for o in outs)
     assert not sess.done
-    assert sess.on_reply("write", None, None, cache.bal, None, now) == [ClientDone("ok", None)]
+    assert sess.on_msg(ClientWriteReply("w1", cache.bal), now) == [ClientDone("ok", None)]
 
 
 @pytest.mark.parametrize("seed", [97, 121, 179, 965])
