@@ -161,8 +161,12 @@ def ctl_main(argv: list[str] | None = None) -> int:
         if not args.roster_file:
             print("roster set needs a roster JSON file", file=sys.stderr)
             return 2
-        with open(args.roster_file, "r", encoding="utf-8") as f:
-            roster = Roster.from_wire(json.load(f))
+        try:
+            with open(args.roster_file, "r", encoding="utf-8") as f:
+                roster = Roster.from_wire(json.load(f))
+        except (OSError, ValueError) as e:  # unreadable, not JSON, or not a roster
+            print(f"roster file invalid: {e}", file=sys.stderr)
+            return 2
     verb = {"get": "roster_get", "set": "roster_set", "stats": "stats"}[args.verb]
     try:
         reply = asyncio.run(ctl_request(args.node, verb, roster))

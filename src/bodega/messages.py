@@ -1,15 +1,19 @@
-"""Protocol and client message types, with a JSON-dict wire codec.
+"""Protocol and client message types, and the one codec for them and for
+the core's input events.
 
-Every message is a frozen dataclass with a `kind` tag. Byte-string fields
-cross the JSON boundary latin-1 encoded so arbitrary bytes round-trip.
-The core's input events (`bodega.events`) go through the same codec: a
-client sends a `ClientRequest` or `OperatorRequest` as is, and the daemon's
-event log stores each event in this form, a `Deliver` with its message
-nested.
+Every message is a frozen dataclass. The codec (`to_wire`/`from_wire`) is
+compiled at import from the dataclass annotations: a message or event
+becomes a flat JSON array `[kind_id, field...]`, and decoding checks the
+type of every field. The core's input events (`bodega.events`) are kinds of
+the same codec: a client sends a `ClientRequest` or `OperatorRequest` as
+is, and each row of the daemon's event log holds an event in this form, a
+`Deliver` with its message nested.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .events import ClientRequest, Deliver, OperatorRequest, TimerFire
 from .model import Ballot, Command, Roster
@@ -177,75 +181,197 @@ class CtlReply(Msg):
 
 
 # ----------------------------------------------------------------- the codec
+#
+# A message's wire form is a JSON array: its kind id, then its fields in
+# declaration order. The kind id is the class's index in _KINDS; new kinds
+# are only ever appended, so an id keeps its meaning. The field types the
+# schema declares go untagged: bytes as latin-1 strings, a Ballot as
+# [round, node], a Command or Roster as its own `to_wire` form, a nested
+# message (`Deliver.msg`) as its wire form.
 
-_KINDS: dict[str, type] = {cls.__name__: cls for cls in (
+_KINDS: tuple[type, ...] = (
     Guard, GuardReply, Renew, RenewReply, Revoke, RevokeReply,
     Prepare, PrepareReply, Accept, AcceptReply, AcceptNote, Commit,
     CatchUpRequest, CatchUpReply, Heartbeat, FullRosterRequest, StatsReport,
     ClientReadReply, ClientWriteReply, ClientRedirect, ClientUnavailable, CtlReply,
     ClientRequest, OperatorRequest, Deliver, TimerFire,
-)}
+)
+
+# JSON gives lists; an event-log row kept in memory also holds the tuples
+# that `to_wire` passes through unchanged
+_ARRAYS = (list, tuple)
 
 
-def _enc(v):
-    if isinstance(v, Ballot):
-        return {"_b": v.to_wire()}
-    if isinstance(v, Roster):
-        return {"_r": v.to_wire()}
-    if isinstance(v, Command):
-        return {"_c": v.to_wire()}
-    if isinstance(v, bytes):
-        return {"_y": v.decode("latin-1")}
-    if isinstance(v, Msg):
-        return msg_to_wire(v)
-    if isinstance(v, (tuple, list)):
-        return [_enc(x) for x in v]
-    if isinstance(v, frozenset):
-        return sorted(_enc(x) for x in v)
-    return v
+class WireError(ValueError):
+    """Input that is not the wire form of a registered kind."""
 
 
-def _dec(v):
-    if isinstance(v, dict):
-        if "_b" in v:
-            return Ballot.from_wire(v["_b"])
-        if "_r" in v:
-            return Roster.from_wire(v["_r"])
-        if "_c" in v:
-            return Command.from_wire(v["_c"])
-        if "_y" in v:
-            return v["_y"].encode("latin-1")
-        if "kind" in v:
-            return msg_from_wire(v)
-        return v
-    if isinstance(v, list):
-        return tuple(_dec(x) for x in v)
-    return v
+def _bad(where: str) -> WireError:
+    return WireError(f"{where}: ill-typed")
 
 
-def msg_to_wire(msg) -> dict:
-    """Encode a message or event to a JSON-serializable dict with a `kind`
-    tag."""
-    out: dict = {"kind": type(msg).__name__}
-    for f in fields(msg):
-        out[f.name] = _enc(getattr(msg, f.name))
-    return out
+class _Compiler:
+    """Writes the Python source of one encoder and one type-checking decoder
+    per kind from its dataclass annotations, and compiles it. Field types
+    the schema does not use raise TypeError here, at import."""
+
+    def __init__(self) -> None:
+        self.env = {"_ARRAYS": _ARRAYS, "_bad": _bad, "WireError": WireError, "Ballot": Ballot,
+                    "Command": Command, "Roster": Roster, "to_wire": to_wire,
+                    "_nested_msg": _nested_msg}
+        self.n = 0
+
+    def name(self, prefix: str) -> str:
+        self.n += 1
+        return f"{prefix}{self.n}"
+
+    def define(self, src: str, name: str):
+        exec(src, self.env)
+        return self.env[name]
+
+    # An encoder is one expression over the value's name `x`.
+    def enc(self, tp, x: str) -> str:
+        if tp in (int, bool, str, tuple):  # bare tuple: a timer key of names and ids
+            return x
+        if tp is bytes:
+            return f'{x}.decode("latin-1")'
+        if tp is Ballot:
+            return f"[{x}.round, {x}.node]"
+        if tp is Command or tp is Roster:
+            return f"{x}.to_wire()"
+        if tp is Msg:
+            return f"to_wire({x})"
+        args = get_args(tp)
+        if get_origin(tp) is UnionType and args[1] is NoneType:
+            inner = self.enc(args[0], x)
+            return x if inner == x else f"(None if {x} is None else {inner})"
+        if get_origin(tp) is tuple and args[1:] == (Ellipsis,):
+            row = get_args(args[0])
+            if get_origin(args[0]) is tuple and Ellipsis not in row:
+                es = [self.name("e") for _ in row]
+                parts = [self.enc(t, e) for t, e in zip(row, es)]
+                if parts == es:
+                    return x
+                return f"[[{', '.join(parts)}] for {', '.join(es)} in {x}]"
+            e = self.name("e")
+            inner = self.enc(args[0], e)
+            return x if inner == e else f"[{inner} for {e} in {x}]"
+        raise TypeError(f"no wire form for {tp!r}")
+
+    # A decoder is statements that check the value bound to `x` and rebind
+    # `x` to the decoded value.
+    def dec(self, tp, x: str, where: str, ind: str) -> list[str]:
+        bad = f"raise _bad({where!r})"
+        if tp in (int, bool, str):
+            return [f"{ind}if type({x}) is not {tp.__name__}: {bad}"]
+        if tp is tuple:
+            e = self.name("e")
+            return [f"{ind}if type({x}) not in _ARRAYS: {bad}",
+                    f"{ind}for {e} in {x}:",
+                    f"{ind}    if type({e}) is not str and type({e}) is not int: {bad}",
+                    f"{ind}{x} = tuple({x})"]
+        if tp is bytes:
+            return [f"{ind}if type({x}) is not str: {bad}",
+                    f'{ind}{x} = {x}.encode("latin-1")']
+        if tp is Ballot:
+            return [f"{ind}if (type({x}) not in _ARRAYS or len({x}) != 2 or type({x}[0]) is not int"
+                    f" or type({x}[1]) is not int): {bad}",
+                    f"{ind}{x} = Ballot({x}[0], {x}[1])"]
+        if tp is Command or tp is Roster:
+            return [f"{ind}{x} = {tp.__name__}.from_wire({x})"]
+        if tp is Msg:
+            return [f"{ind}{x} = _nested_msg({x})"]
+        args = get_args(tp)
+        if get_origin(tp) is UnionType and args[1] is NoneType:
+            return [f"{ind}if {x} is not None:"] + self.dec(args[0], x, where, ind + "    ")
+        if get_origin(tp) is tuple and args[1:] == (Ellipsis,):
+            head = f"{ind}if type({x}) not in _ARRAYS: {bad}"
+            item = args[0]
+            if item in (int, bool, str):
+                e = self.name("e")
+                return [head, f"{ind}for {e} in {x}:"] + self.dec(item, e, where, ind + "    ") + [
+                    f"{ind}{x} = tuple({x})"]
+            e = self.name("e")
+            return [head, f"{ind}{x} = tuple([{self.item_decoder(item, where)}({e}) for {e} in {x}])"]
+        raise TypeError(f"no wire form for {tp!r}")
+
+    def item_decoder(self, tp, where: str) -> str:
+        """A function that decodes one element of a `tuple[tp, ...]`."""
+        if tp is Command or tp is Roster:
+            return f"{tp.__name__}.from_wire"
+        row = get_args(tp)
+        if get_origin(tp) is not tuple or Ellipsis in row:
+            raise TypeError(f"no wire form for a tuple of {tp!r}")
+        fn = self.name("_item")
+        es = [self.name("e") for _ in row]
+        lines = [f"def {fn}(x):",
+                 f"    if type(x) not in _ARRAYS or len(x) != {len(row)}: raise _bad({where!r})",
+                 f"    {', '.join(es)}, = x"]
+        for t, e in zip(row, es):
+            lines += self.dec(t, e, where, "    ")
+        lines.append(f"    return ({', '.join(es)},)")
+        self.define("\n".join(lines), fn)
+        return fn
+
+    def kind(self, kid: int, cls: type):
+        """(encoder, decoder) of one kind. The encoder returns the wire
+        form; the decoder takes an array and the index of the first field."""
+        hints = get_type_hints(cls, localns={"Msg": Msg})
+        names = [f.name for f in fields(cls)]
+        self.env["_" + cls.__name__] = cls
+        enc_src = (f"def enc(m):\n    return [{kid}"
+                   + "".join(f", {self.enc(hints[n], 'm.' + n)}" for n in names) + "]")
+        lines = [f"def dec(v, i):",
+                 f"    if len(v) != i + {len(names)}:",
+                 f"        raise WireError({cls.__name__ + ': wrong number of fields'!r})"]
+        xs = ["f_" + n for n in names]
+        if names:
+            lines.append(f"    {', '.join(xs)}, = v[i:]")
+        for n, x in zip(names, xs):
+            lines += self.dec(hints[n], x, f"{cls.__name__}.{n}", "    ")
+        lines.append(f"    return _{cls.__name__}({', '.join(xs)})")
+        return self.define(enc_src, "enc"), self.define("\n".join(lines), "dec")
 
 
-class UnknownKindError(ValueError):
-    pass
+def to_wire(msg) -> list:
+    """A registered message or event in its wire form, a JSON-serialisable
+    array (`[kind_id, field...]`)."""
+    return _ENCODERS[type(msg)](msg)
 
 
-def msg_from_wire(d: dict):
-    """Decode a dict produced by msg_to_wire; raises UnknownKindError.
-    Keys that are not fields of the kind (an event-log row's `t`) are
-    ignored."""
-    kind = d.get("kind")
-    cls = _KINDS.get(kind)
-    if cls is None:
-        raise UnknownKindError(f"unknown message kind: {kind!r}")
-    kwargs = {}
-    for f in fields(cls):
-        if f.name in d:
-            kwargs[f.name] = _dec(d[f.name])
-    return cls(**kwargs)
+def from_wire(v, at: int = 0):
+    """Decode the wire form that starts at index `at` of the array `v`: a
+    frame or an event-log row has a header in front of it. Every field's
+    type is checked; anything but the wire form of a registered kind raises
+    WireError, and nothing else."""
+    if type(v) not in _ARRAYS or len(v) <= at:
+        raise WireError("no message")
+    kid = v[at]
+    if type(kid) is not int or not 0 <= kid < len(_DECODERS):
+        raise WireError(f"unknown kind id {kid!r:.20}")
+    try:
+        return _DECODERS[kid](v, at + 1)
+    except WireError:
+        raise
+    except ValueError as e:  # a Command or Roster from_wire, or a non-latin-1 byte string
+        raise WireError(str(e)) from None
+
+
+def _nested_msg(v) -> Msg:
+    """A node message nested in an event: events never nest."""
+    if type(v) in _ARRAYS and v and type(v[0]) is int and v[0] in _MSG_IDS:
+        return from_wire(v)
+    raise WireError("Deliver.msg: not a node message")
+
+
+def _compile() -> tuple[dict, list, frozenset]:
+    c = _Compiler()
+    encoders, decoders = {}, []
+    for kid, cls in enumerate(_KINDS):
+        enc, dec = c.kind(kid, cls)
+        encoders[cls] = enc
+        decoders.append(dec)
+    return encoders, decoders, frozenset(k for k, cls in enumerate(_KINDS) if issubclass(cls, Msg))
+
+
+_ENCODERS, _DECODERS, _MSG_IDS = _compile()

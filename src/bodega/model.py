@@ -25,10 +25,6 @@ class Ballot:
     def to_wire(self) -> list[int]:
         return [self.round, self.node]
 
-    @classmethod
-    def from_wire(cls, v) -> "Ballot":
-        return cls(int(v[0]), int(v[1]))
-
 
 ZERO_BALLOT = Ballot(0, 0)
 
@@ -58,10 +54,15 @@ class Command:
         return d
 
     @classmethod
-    def from_wire(cls, d: dict) -> "Command":
-        v = d.get("value")
-        return cls(d["kind"], d["key"].encode("latin-1"),
-                   None if v is None else v.encode("latin-1"), d.get("request_id", ""))
+    def from_wire(cls, d) -> "Command":
+        """Inverse of to_wire; raises ValueError on anything else."""
+        if type(d) is dict:
+            kind, key, v, rid = d.get("kind"), d.get("key"), d.get("value"), d.get("request_id", "")
+            if (type(kind) is str and type(key) is str and type(rid) is str
+                    and (v is None or type(v) is str)):
+                return cls(kind, key.encode("latin-1"),
+                           None if v is None else v.encode("latin-1"), rid)
+        raise ValueError("malformed command")
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,16 +131,24 @@ class Roster:
         }
 
     @classmethod
-    def from_wire(cls, v: dict) -> "Roster":
+    def from_wire(cls, v) -> "Roster":
+        """Inverse of to_wire; raises ValueError on anything else."""
+        if type(v) is not dict:
+            raise ValueError("roster: not an object")
+        leader, rows = v.get("leader"), v.get("ranges", [])
+        if (leader is not None and type(leader) is not int) or type(rows) is not list:
+            raise ValueError("roster: malformed leader or ranges")
         ranges = []
-        for r in v.get("ranges", []):
-            rng = KeyRange(
-                r["lo"].encode("latin-1"),
-                None if r["hi"] is None else r["hi"].encode("latin-1"),
-            )
-            ranges.append((rng, frozenset(int(x) for x in r["responders"])))
-        leader = v.get("leader")
-        return cls(None if leader is None else int(leader), tuple(ranges))
+        for r in rows:
+            if type(r) is not dict or "hi" not in r:
+                raise ValueError("roster: malformed range")
+            lo, hi, nodes = r.get("lo"), r["hi"], r.get("responders")
+            if (type(lo) is not str or (hi is not None and type(hi) is not str)
+                    or type(nodes) is not list or any(type(x) is not int for x in nodes)):
+                raise ValueError("roster: malformed range")
+            rng = KeyRange(lo.encode("latin-1"), None if hi is None else hi.encode("latin-1"))
+            ranges.append((rng, frozenset(nodes)))
+        return cls(leader, tuple(ranges))
 
 
 EMPTY_ROSTER = Roster()

@@ -70,7 +70,10 @@ def node_config_from_dict(d: dict) -> NodeConfig:
         announce=bool(d.get("announce", False)),
     )
     if "initial_roster" in d and d["initial_roster"] is not None:
-        ros = Roster.from_wire(d["initial_roster"])
+        try:
+            ros = Roster.from_wire(d["initial_roster"])
+        except ValueError as e:
+            raise ConfigError(f"initial_roster: {e}") from None
         bad = validate_roster(ros, cfg.n)
         if bad is not None:
             raise ConfigError(f"initial_roster.{bad.field}: {bad.reason}")

@@ -13,12 +13,12 @@ import json
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..events import ArmTimer, CancelTimer, ClientRequest, Deliver, OperatorRequest, Reply, Send, TimerFire
-from ..messages import Accept, Commit, msg_to_wire
+from ..messages import Accept, Commit
 from ..log import ConsensusLog
-from ..model import Command
+from ..model import Ballot, Command, Roster
 from ..node import Node
 from ..reads import ClientArm, ClientCache, ClientDone, ClientSend, ClientSession
 from ..workload import OpGen, latency_summary
@@ -140,6 +140,31 @@ class _ClientState:
     record: OpRecord | None = None
     timer: _Timer = field(default_factory=_Timer)
     closed_loop: bool = True
+
+
+def _tagged(v):
+    if isinstance(v, Ballot):
+        return {"_b": v.to_wire()}
+    if isinstance(v, Roster):
+        return {"_r": v.to_wire()}
+    if isinstance(v, Command):
+        return {"_c": v.to_wire()}
+    if isinstance(v, bytes):
+        return {"_y": v.decode("latin-1")}
+    if isinstance(v, tuple):
+        return [_tagged(x) for x in v]
+    return v
+
+
+def _trace_msg(msg) -> dict:
+    """A delivered message as the trace writes it: its fields by name under
+    a `kind` tag, each ballot, roster, command and byte string tagged with a
+    one-key dict. It is the trace's own format, fixed by the recorded trace
+    pins; nothing turns it back into a message."""
+    out: dict = {"kind": type(msg).__name__}
+    for f in fields(msg):
+        out[f.name] = _tagged(getattr(msg, f.name))
+    return out
 
 
 class Simulation:
@@ -529,7 +554,7 @@ class Simulation:
             if kind == "nmsg":
                 to, frm, msg = data
                 if trace_on:
-                    self._trace(t, "deliver", {"to": to, "frm": frm, "msg": msg_to_wire(msg)})
+                    self._trace(t, "deliver", {"to": to, "frm": frm, "msg": _trace_msg(msg)})
                 self._node_event(to, Deliver(frm, msg))
             elif kind == "ntimer":
                 node_id, key = data

@@ -93,6 +93,13 @@ def _require(cond: bool, field_name: str, reason: str) -> None:
         raise ScenarioError(field_name, reason)
 
 
+def _roster(v, field_name: str) -> Roster:
+    try:
+        return Roster.from_wire(v)
+    except ValueError as e:
+        raise ScenarioError(field_name, str(e)) from None
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     _require(isinstance(d, dict), "<root>", "scenario must be a JSON object")
     n = d.get("nodes")
@@ -131,7 +138,7 @@ def scenario_from_dict(d: dict) -> Scenario:
 
     init = d.get("initial_roster")
     if init is not None:
-        sc.initial_roster = Roster.from_wire(init)
+        sc.initial_roster = _roster(init, "initial_roster")
         sc.initial_announcer = int(init.get("announcer", 0))
         sc.initial_at = _us(init.get("at_ms", 10))
         _require(0 <= sc.initial_announcer < n, "initial_roster.announcer", "node id out of range")
@@ -181,7 +188,7 @@ def scenario_from_dict(d: dict) -> Scenario:
             node = int(r.get("to_node", 0))
             _require(0 <= node < n, f"events[{i}].roster_set.to_node", "node id out of range")
             sc.script.append(ScriptEvent(
-                at, "roster_set", node=node, roster=Roster.from_wire(r)))
+                at, "roster_set", node=node, roster=_roster(r, f"events[{i}].roster_set")))
         elif "write" in ev or "read" in ev:
             body = ev.get("write") or ev.get("read")
             kind = "write" if "write" in ev else "read"

@@ -1,7 +1,7 @@
 """CLI surfaces: sim run/explore, lincheck, and the file outputs."""
 import json
 
-from bodega.cli import lincheck_main, sim_main
+from bodega.cli import ctl_main, lincheck_main, sim_main
 
 
 def test_sim_run_writes_outputs(tmp_path, capsys):
@@ -27,6 +27,13 @@ def test_sim_run_rejects_bad_scenario(tmp_path, capsys):
     rc = sim_main(["run", str(bad)])
     assert rc == 2
     assert "nodes" in capsys.readouterr().err
+
+
+def test_ctl_roster_set_rejects_an_ill_typed_roster_file(tmp_path, capsys):
+    bad = tmp_path / "roster.json"
+    bad.write_text(json.dumps({"leader": "0", "ranges": []}))
+    assert ctl_main(["roster", "set", str(bad), "--node", "127.0.0.1:1"]) == 2
+    assert "roster file invalid" in capsys.readouterr().err
 
 
 def test_lincheck_cli_verdicts(tmp_path, capsys):

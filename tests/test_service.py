@@ -8,9 +8,12 @@ import socket
 
 import pytest
 
-from bodega.events import ClientRequest, Deliver, OperatorRequest, TimerFire
+from bodega.events import ClientRequest, Deliver, OperatorRequest, Send, TimerFire
 from bodega.lincheck import check_file
-from bodega.messages import Accept, CtlReply, Guard, msg_from_wire, msg_to_wire
+from bodega.messages import (
+    Accept, ClientReadReply, ClientRedirect, ClientUnavailable, ClientWriteReply, CtlReply, Guard,
+    from_wire, to_wire,
+)
 from bodega.model import Ballot, Command, full_range_roster
 from bodega.service.bench import bench
 from bodega.service.config import ConfigError, WorkloadSpec, node_config_from_dict
@@ -78,8 +81,7 @@ def test_seq_dedup_drops_redelivery():
 
 
 def test_unknown_kind_rejected():
-    body = json.dumps({"proto_version": 1, "from": "n0", "kind": "msg",
-                       "payload": {"kind": "Nonsense"}, "seq": 1}).encode()
+    body = json.dumps([2, "n0", 1, 999]).encode()
     with pytest.raises(WireError):
         decode_body(body)
 
@@ -108,7 +110,7 @@ def test_msg_codec_roundtrips_everything():
         CtlReply(True, "", Ballot(1, 0), full_range_roster(0, set()), ((b"k", 0, 1, 2),)),
     ]
     for m in samples:
-        assert msg_from_wire(msg_to_wire(m)) == m, m
+        assert from_wire(to_wire(m)) == m, m
 
 
 def test_msg_codec_roundtrips_events():
@@ -124,7 +126,37 @@ def test_msg_codec_roundtrips_events():
         TimerFire(("hb_tick",)),
     ]
     for ev in samples:
-        assert msg_from_wire(json.loads(json.dumps(msg_to_wire(ev)))) == ev, ev
+        assert from_wire(json.loads(json.dumps(to_wire(ev)))) == ev, ev
+
+
+def test_read_reply_frame_is_small():
+    """A 64-byte read reply costs at most 120 bytes on the wire."""
+    raw = encode("n0", 2**20, ClientReadReply("p0c1.123456", b"p0c1.123456.".ljust(64, b"x")))
+    assert len(raw) <= 120, len(raw)
+
+
+def _body(*fields):
+    return json.dumps([2, *fields]).encode()
+
+
+_READ_REPLY = to_wire(ClientReadReply("r", None))[0]
+_CLIENT_REQUEST = to_wire(ClientRequest("c1", Command("get", b"k", None, "c1.1")))[0]
+
+# bodies that are JSON but no frame: each must raise WireError, not the
+# RecursionError, AttributeError or TypeError they once raised
+MALFORMED_BODIES = {
+    "nested_100k_deep": b"[" * 100_000 + b"]" * 100_000,
+    "one_number": b"[1]",
+    "number_for_bytes": _body("n1", 1, _READ_REPLY, "n1.1", 5, None, None),
+    "numeric_command_key": _body("c1", 1, _CLIENT_REQUEST, "c1",
+                                 {"kind": "get", "key": 5, "request_id": "c1.1"}, -1, False, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_BODIES))
+def test_malformed_body_raises_wire_error(name):
+    with pytest.raises(WireError):
+        decode_body(MALFORMED_BODIES[name])
 
 
 # ------------------------------------------------------------- live cluster
@@ -184,9 +216,11 @@ def test_live_cluster_put_get_and_roster_ops():
             logs = [list(d.event_log) for d in daemons]
             nodes = [d.node for d in daemons]
             await _stop_cluster(daemons)
-        # replay parity: every daemon's recorded events reproduce its digest
+        # replay parity: every daemon's recorded events reproduce its digest,
+        # also after a trip through JSON
         for i, d_log in enumerate(logs):
             assert replay_digest(cfgs[i], d_log) == nodes[i].state_digest()
+            assert replay_digest(cfgs[i], json.loads(json.dumps(d_log))) == nodes[i].state_digest()
 
     asyncio.run(main())
 
@@ -225,15 +259,181 @@ def test_client_port_drops_what_is_not_the_senders_own_request():
             assert d.node.state_digest() == digest
             assert set(d.client_writers) <= {"c1"}
             # the node's own timers and self-sends aside (its tuner is off)
-            from_client = [r for r in d.event_log
-                           if r["kind"] in ("ClientRequest", "OperatorRequest")
-                           or (r["kind"] == "Deliver" and r["frm"] != 0)
-                           or (r["kind"] == "TimerFire" and r["key"] == ["tune"])]
-            assert from_client == [{"t": from_client[0]["t"], **msg_to_wire(
-                OperatorRequest("roster_get", "c1"))}]
+            events = [from_wire(row, 1) for row in d.event_log[1:]]
+            from_client = [e for e in events
+                           if type(e) in (ClientRequest, OperatorRequest)
+                           or (type(e) is Deliver and e.frm != 0)
+                           or (type(e) is TimerFire and e.key == ("tune",))]
+            assert from_client == [OperatorRequest("roster_get", "c1")]
         finally:
             await d.stop()
             await asyncio.sleep(0.05)
+
+    asyncio.run(main())
+
+
+def test_daemon_closes_a_connection_on_a_malformed_frame():
+    """Each malformed body, framed and sent to either port, closes that
+    connection, leaves the node's state alone, and the daemon keeps serving."""
+    async def main():
+        cfg = cluster_configs(3)[0]
+        d = Daemon(cfg)
+        await d.start()
+        try:
+            await asyncio.sleep(0.05)
+            digest = d.node.state_digest()
+            for port in (cfg.peers[0].peer, cfg.peers[0].client):
+                for name, body in sorted(MALFORMED_BODIES.items()):
+                    reader, writer = await asyncio.open_connection(*port.split(":"))
+                    writer.write(len(body).to_bytes(4, "big") + body)
+                    await writer.drain()
+                    assert await asyncio.wait_for(reader.read(), 5) == b"", (port, name)
+                    writer.close()
+            assert d.node.state_digest() == digest
+            rep = await ctl_request(cfg.peers[0].client, "roster_get")
+            assert rep.ok and rep.bal == Ballot(0, 0)
+        finally:
+            await d.stop()
+
+    asyncio.run(main())
+
+
+def test_peer_port_closes_on_what_no_peer_sends():
+    """A peer-port frame must be a node message from a node id: an event
+    kind, or a sender like "n²" that `int` refuses, closes the connection,
+    leaves no event-log row, and the log still replays. No error escapes
+    to the event loop."""
+    async def main():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+        cfg = cluster_configs(3, record_events=True)[0]
+        d = Daemon(cfg)
+        await d.start()
+        try:
+            await asyncio.sleep(0.05)
+            digest = d.node.state_digest()
+            frames = [
+                encode("n1", 1, TimerFire(("tune",))),
+                encode("n1", 1, ClientRequest("c1", Command("put", b"k", b"v", "c1.1"))),
+                encode("n1", 1, Deliver(1, Accept(Ballot(9, 1), 1, ()))),
+                encode("n\u00b2", 1, Guard(Ballot(9, 1), 5)),
+            ]
+            for frame in frames:
+                reader, writer = await asyncio.open_connection(*cfg.peers[0].peer.split(":"))
+                writer.write(frame)
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(), 5) == b"", frame
+                writer.close()
+            assert errors == []
+            assert d.node.state_digest() == digest
+            assert all(type(from_wire(row, 1)) is not Deliver or row[2] == 0
+                       for row in d.event_log[1:])
+        finally:
+            await d.stop()
+        assert replay_digest(cfg, d.event_log) == d.node.state_digest()
+
+    asyncio.run(main())
+
+
+def test_stop_leaves_no_task_and_no_connection_open():
+    async def main():
+        cfg = cluster_configs(3)[0]
+        d = Daemon(cfg)
+        await d.start()
+        conns = [await asyncio.open_connection(*addr.split(":"))
+                 for addr in (cfg.peers[0].peer, cfg.peers[0].client)]
+        rep = await ctl_request(cfg.peers[0].client, "roster_get")
+        assert rep.ok
+        await d.stop()
+        assert [t for t in asyncio.all_tasks() if t is not asyncio.current_task()] == []
+        for reader, writer in conns:
+            assert await asyncio.wait_for(reader.read(), 1) == b""  # closed by the daemon
+            writer.close()
+
+    asyncio.run(main())
+
+
+def test_self_sends_are_handled_in_order_after_their_cause():
+    """A message a node sends itself is handled after the handle call that
+    sent it returns, first sent first handled."""
+    me, bal = 0, Ballot(1, 0)
+    cfg = cluster_configs(3, record_events=True)[me]
+    d = Daemon(cfg)
+    calls, depth = [], [0]
+
+    def handle(ev, now):
+        assert depth[0] == 0, "handle re-entered"
+        depth[0] += 1
+        calls.append(ev)
+        if type(ev) is OperatorRequest:
+            outs = [Send(me, Guard(bal, 1)), Send(1, Guard(bal, 9)), Send(me, Guard(bal, 2))]
+        elif ev.msg.thresh == 1:
+            outs = [Send(me, Guard(bal, 3))]
+        else:
+            outs = []
+        depth[0] -= 1
+        return outs
+
+    d.node.handle = handle
+    d._step(OperatorRequest("roster_get", "c1"))
+    assert [type(e) for e in calls] == [OperatorRequest, Deliver, Deliver, Deliver]
+    assert [(e.frm, e.msg.thresh) for e in calls[1:]] == [(me, 1), (me, 2), (me, 3)]
+    assert [from_wire(row, 1) for row in d.event_log] == calls
+
+
+_REPLIES = (ClientReadReply, ClientWriteReply, ClientRedirect, ClientUnavailable, CtlReply)
+
+
+def test_layer_wrappers_see_every_frame_and_event(monkeypatch):
+    """The wrappers a benchmark installs around the daemon module's
+    `encode`, `FrameReader.feed` and each node's `handle` see every frame
+    the daemons send or receive and every event their cores handle."""
+    from bodega.service import daemon as daemon_mod
+
+    sent, received = [0], [0]
+    encode_, feed_ = daemon_mod.encode, FrameReader.feed
+
+    def counting_encode(frm, seq, msg):
+        sent[0] += 1
+        return encode_(frm, seq, msg)
+
+    def counting_feed(reader, data):
+        envs = feed_(reader, data)
+        # the client library decodes only replies; the daemons everything else
+        received[0] += sum(type(e.msg) not in _REPLIES for e in envs)
+        return envs
+
+    monkeypatch.setattr(daemon_mod, "encode", counting_encode)
+    monkeypatch.setattr(FrameReader, "feed", counting_feed)
+
+    async def main():
+        cfgs = cluster_configs(3, record_events=True)
+        daemons = await _start_cluster(cfgs)
+        handled = [0] * len(daemons)
+        for i, d in enumerate(daemons):
+            def counting_handle(ev, now, inner=d.node.handle, i=i):
+                handled[i] += 1
+                return inner(ev, now)
+            d.node.handle = counting_handle
+        addrs = [c.peers[i].client for i, c in enumerate(cfgs)]
+        try:
+            assert (await ctl_request(addrs[0], "roster_set", full_range_roster(0, {1, 2}))).ok
+            await asyncio.sleep(0.5)
+            cli = KvClient(addrs, site=1, cid="w1", op_timeout_s=5.0)
+            for i in range(5):
+                assert (await cli.put(b"k%d" % i, b"v"))[0] == "ok"
+                assert (await cli.get(b"k%d" % i))[0] == "ok"
+            await cli.close()
+        finally:
+            await _stop_cluster(daemons)
+        events = [[from_wire(row, 1) for row in d.event_log[1:]] for d in daemons]
+        assert handled == [len(evs) for evs in events]
+        assert sent[0] == sum(sum(l.seq for l in d.links.values()) + sum(d.client_seq.values())
+                              for d in daemons)
+        from_network = sum(type(e) in (ClientRequest, OperatorRequest)
+                           or (type(e) is Deliver and e.frm != i)
+                           for i, evs in enumerate(events) for e in evs)
+        assert received[0] == from_network > 0
 
     asyncio.run(main())
 
@@ -348,6 +548,12 @@ def test_node_config_validation():
             "id": 0,
             "peers": [{"peer": "h:1", "client": "h:2"}] * 3,
             "timers": {"hb_send_ms": 5000},  # breaks hb_send < hb_fail
+        })
+    with pytest.raises(ConfigError):
+        node_config_from_dict({
+            "id": 0,
+            "peers": [{"peer": "h:1", "client": "h:2"}] * 3,
+            "initial_roster": {"leader": 0, "ranges": [{"lo": "", "hi": None, "responders": ["1"]}]},
         })
     cfg = node_config_from_dict({
         "id": 0,

@@ -127,6 +127,12 @@ def test_scenario_validation_errors_name_field():
         scenario_from_dict(bad)
     assert "partition" in e.value.field
 
+    bad = json.loads(json.dumps(SYM20))
+    bad["initial_roster"]["ranges"][0]["responders"] = ["2"]
+    with pytest.raises(ScenarioError) as e:
+        scenario_from_dict(bad)
+    assert e.value.field == "initial_roster"
+
 
 def test_scenario_config_and_node_timers_parse_alike():
     config = {"hb_send_ms": 45, "hb_fail_ms": 260.4, "guard_ms": 600, "lease_ms": 600,
