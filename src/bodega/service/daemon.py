@@ -11,7 +11,15 @@ one callback at a time, so the core sees one event at a time. The core never
 reads the clock: `now` is sampled once per event, so a recorded event log
 replays to an identical state digest. A row of that log is the event's wire
 form with the local time in front, `[t, kind_id, field...]`; the first row,
-`[t]`, is the node's start.
+`[t]`, is the node's start, which comes before the daemon listens.
+
+Start-up and links wait on events, not on the clock. Each outbound peer
+link is a `_PeerLink` protocol that reconnects as soon as its connection is
+lost, and a peer connecting to this node cuts short the backoff of every
+link that is down. An `announce` node sends its boot roster once its links
+to every peer are up and every peer's link to it has connected, or after
+`t_hb_fail` if some are not; heartbeats carry the roster to a peer that
+comes later.
 """
 from __future__ import annotations
 
@@ -46,8 +54,13 @@ def replay_digest(cfg: NodeConfig, rows: list[list]) -> str:
 
 # ------------------------------------------------------------------- daemon
 
-class _PeerLink:
-    """One outbound stream per peer; reconnects with backoff."""
+class _PeerLink(asyncio.Protocol):
+    """The outbound stream to one peer; it only writes, the peer never
+    answers on it. `connection_made` keeps the transport and tells the
+    daemon; `connection_lost` sets `down`, which wakes `maintain` to
+    reconnect at once. A refused connect backs off from 50 ms, doubling up
+    to 1 s, unless `retry` is set first: the daemon sets it when a peer
+    connects to it, since that peer is now listening."""
 
     def __init__(self, daemon: "Daemon", peer_id: int, addr: str) -> None:
         self.daemon = daemon
@@ -55,7 +68,18 @@ class _PeerLink:
         self.addr = addr
         self.transport: asyncio.Transport | None = None
         self.seq = 0
-        self.task: asyncio.Task | None = None
+        self.down = asyncio.Event()  # set while there is no connection
+        self.down.set()
+        self.retry = asyncio.Event()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.down.clear()
+        self.daemon._link_up()
+
+    def connection_lost(self, exc) -> None:
+        self.transport = None
+        self.down.set()
 
     def send(self, msg: Msg) -> None:
         if self.transport is None or self.transport.is_closing():
@@ -67,18 +91,19 @@ class _PeerLink:
         backoff = 0.05
         host, port = PeerAddr.parse(self.addr)
         loop = asyncio.get_running_loop()
-        while not self.daemon.stopping:
-            if self.transport is None or self.transport.is_closing():
+        while not self.daemon.stopped.is_set():
+            self.retry.clear()
+            try:
+                await loop.create_connection(lambda: self, host, port)
+            except OSError:
                 try:
-                    # the link only writes; the peer never answers on it
-                    self.transport, _ = await loop.create_connection(asyncio.Protocol, host, port)
-                    backoff = 0.05
-                except OSError:
-                    self.transport = None
-                    await asyncio.sleep(backoff)
-                    backoff = min(backoff * 2, 1.0)
-                    continue
-            await asyncio.sleep(0.2)
+                    await asyncio.wait_for(self.retry.wait(), backoff)
+                except asyncio.TimeoutError:
+                    pass
+                backoff = min(backoff * 2, 1.0)
+                continue
+            backoff = 0.05
+            await self.down.wait()
 
 
 class _Inbound(asyncio.Protocol):
@@ -113,7 +138,19 @@ class _Inbound(asyncio.Protocol):
 
 
 class _PeerConn(_Inbound):
-    """A peer's outbound link, seen from the receiving node."""
+    """A peer's outbound link, seen from the receiving node. Its arrival
+    means the peer is listening: the links that are down retry now."""
+
+    def connection_made(self, transport) -> None:
+        super().connection_made(transport)
+        self.daemon._peers_in += 1
+        for link in self.daemon.links.values():
+            link.retry.set()
+        self.daemon._link_up()
+
+    def connection_lost(self, exc) -> None:
+        self.daemon._peers_in -= 1
+        super().connection_lost(exc)
 
     def admit(self, env) -> None:
         frm = env.frm
@@ -164,7 +201,9 @@ class Daemon:
         self.client_writers: dict[str, asyncio.Transport] = {}
         self.client_seq: dict[str, int] = {}
         self.event_log: list[list] = []
-        self.stopping = False
+        self.stopped = asyncio.Event()
+        self._announce: asyncio.TimerHandle | None = None
+        self._peers_in = 0  # open connections from peers' links
         self._servers: list[asyncio.base_events.Server] = []
         self._accepted: set[asyncio.Transport] = set()
         self._tasks: list[asyncio.Task] = []
@@ -172,32 +211,50 @@ class Daemon:
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
+        # the core starts before the ports open, so no frame reaches it first
+        now = mono_us()
+        if self.cfg.record_events:
+            self.event_log.append([now])
+        self._apply(self.node.start(now), [])  # only timers: start sends nothing
+        # the links exist, and connect, before a peer's frame can make the
+        # core send on them
+        for p in range(self.cfg.n):
+            if p != self.cfg.node_id:
+                link = _PeerLink(self, p, self.cfg.peers[p].peer)
+                self.links[p] = link
+                self._tasks.append(asyncio.create_task(link.maintain()))
         me = self.cfg.peers[self.cfg.node_id]
         ph, pp = PeerAddr.parse(me.peer)
         ch, cp = PeerAddr.parse(me.client)
         loop = asyncio.get_running_loop()
         self._servers.append(await loop.create_server(lambda: _PeerConn(self), ph, pp))
         self._servers.append(await loop.create_server(lambda: _ClientConn(self), ch, cp))
-        for p in range(self.cfg.n):
-            if p != self.cfg.node_id:
-                link = _PeerLink(self, p, self.cfg.peers[p].peer)
-                link.task = asyncio.create_task(link.maintain())
-                self._tasks.append(link.task)
-                self.links[p] = link
-        now = mono_us()
-        if self.cfg.record_events:
-            self.event_log.append([now])
-        self._apply(self.node.start(now), [])  # only timers: start sends nothing
         if self.cfg.announce and self.cfg.initial_roster is not None:
-            async def _announce():
-                await asyncio.sleep(0.3)  # let peer links come up
-                self._step(OperatorRequest("roster_set", "boot", self.cfg.initial_roster))
-            self._tasks.append(asyncio.create_task(_announce()))
+            self._announce = loop.call_later(self.cfg.cluster.t_hb_fail / 1e6, self._boot_announce)
+            self._link_up()  # the links may all have come up while the ports opened
+
+    def _link_up(self) -> None:
+        """A link to or from a peer came up. A pending boot announce goes
+        out once the links both ways are up: every outbound link is
+        connected, and as many peer connections are open as there are
+        peers, so no peer's first reply is dropped on a link still down."""
+        if (self._announce is not None and self._peers_in >= len(self.links)
+                and all(l.transport is not None for l in self.links.values())):
+            self._boot_announce()
+
+    def _boot_announce(self) -> None:
+        self._announce.cancel()
+        self._announce = None
+        self._step(OperatorRequest("roster_set", "boot", self.cfg.initial_roster))
 
     async def stop(self) -> None:
         """Stop serving: close the listeners, every accepted connection and
-        peer link, cancel the timers, and wait for the daemon's tasks."""
-        self.stopping = True
+        peer link, cancel the timers, and wait for the daemon's tasks and
+        for each link's `connection_lost`."""
+        self.stopped.set()
+        if self._announce is not None:
+            self._announce.cancel()
+            self._announce = None
         for s in self._servers:
             s.close()
         for _deadline, _gen, handle in self.timers.values():
@@ -207,24 +264,24 @@ class Daemon:
             t.cancel()
         for link in self.links.values():
             if link.transport is not None:
-                link.transport.close()
+                link.transport.abort()  # a stopped node's unsent messages are lost, as in a crash
         for tr in list(self._accepted):
             tr.close()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
+        await asyncio.gather(*self._tasks, *(link.down.wait() for link in self.links.values()),
+                             return_exceptions=True)
         for s in self._servers:
             await s.wait_closed()
 
     async def run_forever(self) -> None:
         await self.start()
-        while not self.stopping:
-            await asyncio.sleep(0.5)
+        await self.stopped.wait()
 
     # ------------------------------------------------------------ the core
 
     def _step(self, ev) -> None:
         """Run the core on one event, then on each message it sent to
         itself, first sent first handled."""
-        if self.stopping:
+        if self.stopped.is_set():
             return
         fifo = [ev]
         for ev in fifo:  # _apply appends this node's self-sends as the loop runs

@@ -17,6 +17,7 @@ from bodega.messages import (
 from bodega.model import Ballot, Command, full_range_roster
 from bodega.service.bench import bench
 from bodega.service.config import ConfigError, WorkloadSpec, node_config_from_dict
+from bodega.service import daemon as daemon_mod
 from bodega.service.daemon import Daemon, replay_digest
 from bodega.service.client import KvClient, ctl_request
 from bodega.service.wire import FrameReader, WireError, decode_body, encode
@@ -34,7 +35,9 @@ def free_ports(k):
     return ports
 
 
-def cluster_configs(n, record_events=False, timers=None):
+def cluster_configs(n, record_events=False, timers=None, announce=None):
+    """Configs of an n-node localhost cluster; with `announce`, a roster,
+    node 0 announces it at boot."""
     ports = free_ports(2 * n)
     peers = [{"peer": f"127.0.0.1:{ports[2*i]}", "client": f"127.0.0.1:{ports[2*i+1]}"}
              for i in range(n)]
@@ -46,6 +49,8 @@ def cluster_configs(n, record_events=False, timers=None):
         cfgs.append(node_config_from_dict({
             "id": i, "peers": peers, "timers": base_timers, "seed": 7,
             "record_events": record_events,
+            "announce": announce is not None and i == 0,
+            "initial_roster": None if announce is None else announce.to_wire(),
         }))
     return cfgs
 
@@ -170,6 +175,28 @@ async def _start_cluster(cfgs):
     return daemons
 
 
+async def _until(cond, deadline_s=5.0):
+    """Poll until `cond()` holds; fail after `deadline_s`."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + deadline_s
+    while not cond():
+        assert loop.time() < deadline, f"{cond.__name__} not met after {deadline_s} s"
+        await asyncio.sleep(0.001)
+
+
+async def _until_ready(daemons, bal, deadline_s=5.0):
+    """Poll until, at ballot `bal`, the roster's leader is `leader_ready`
+    and every node the roster names is stable; fail after `deadline_s`."""
+    nodes = {d.cfg.node_id: d.node for d in daemons}
+
+    def ready_at_bal():
+        ros = next((n.ros for n in nodes.values() if n.bal == bal), None)
+        return (ros is not None and nodes[ros.leader].leader_ready
+                and all(nodes[i].bal == bal and nodes[i].is_stable() for i in ros.special_nodes()))
+
+    await _until(ready_at_bal, deadline_s)
+
+
 async def _stop_cluster(daemons):
     for d in daemons:
         await d.stop()
@@ -194,7 +221,7 @@ def test_live_cluster_put_get_and_roster_ops():
 
             rep = await ctl_request(addrs[0], "roster_set", full_range_roster(0, {1, 2}))
             assert rep.ok and rep.bal == Ballot(1, 0)
-            await asyncio.sleep(0.5)  # activation: revoke + guard + renew rounds
+            await _until_ready(daemons, rep.bal)
 
             cli = KvClient(addrs, site=2, cid="t0", op_timeout_s=5.0)
             outcome, _v, _lat = await cli.put(b"x", b"1")
@@ -336,19 +363,139 @@ def test_peer_port_closes_on_what_no_peer_sends():
 
 
 def test_stop_leaves_no_task_and_no_connection_open():
+    """Stopping every daemon of a cluster whose links are up leaves no task
+    pending, has each peer link see its `connection_lost`, and closes the
+    connections the daemons accepted."""
     async def main():
-        cfg = cluster_configs(3)[0]
-        d = Daemon(cfg)
-        await d.start()
+        cfgs = cluster_configs(3)
+        daemons = await _start_cluster(cfgs)
+        links = [link for d in daemons for link in d.links.values()]
+        await _until(lambda: all(link.transport is not None for link in links))
         conns = [await asyncio.open_connection(*addr.split(":"))
-                 for addr in (cfg.peers[0].peer, cfg.peers[0].client)]
-        rep = await ctl_request(cfg.peers[0].client, "roster_get")
+                 for addr in (cfgs[0].peers[0].peer, cfgs[0].peers[0].client)]
+        rep = await ctl_request(cfgs[0].peers[0].client, "roster_get")
         assert rep.ok
-        await d.stop()
+        for d in daemons:
+            await d.stop()
         assert [t for t in asyncio.all_tasks() if t is not asyncio.current_task()] == []
+        assert all(link.transport is None for link in links)
         for reader, writer in conns:
             assert await asyncio.wait_for(reader.read(), 1) == b""  # closed by the daemon
             writer.close()
+
+    asyncio.run(main())
+
+
+_START_ORDERS = {"announcer_first": ([0], [1, 2]), "all_at_once": ([], [0, 1, 2]),
+                 "announcer_last": ([1, 2], [0])}
+
+
+@pytest.mark.parametrize("order", sorted(_START_ORDERS))
+def test_boot_announce_waits_for_the_links_not_the_clock(order):
+    """An announcing node, node 0, sends its boot roster once its links to
+    every peer are up, whatever order the nodes start in: the cluster
+    serves within 0.25 s of the last start. Started first, node 0 is left
+    alone for 1.2 s, so its links are deep in backoff."""
+    async def main():
+        # t_hb_fail, the announce's fallback, is well past the test's span
+        cfgs = cluster_configs(3, announce=full_range_roster(0, {0, 1, 2}),
+                               timers={"hb_fail_ms": 3000, "guard_ms": 4000, "lease_ms": 4000})
+        first, last = _START_ORDERS[order]
+        daemons = await _start_cluster([cfgs[i] for i in first])
+        try:
+            if order == "announcer_first":
+                await asyncio.sleep(1.2)
+                assert daemons[0].node.bal == Ballot(0, 0)
+            daemons += await _start_cluster([cfgs[i] for i in last])
+            await _until_ready(daemons, Ballot(1, 0), deadline_s=0.25)
+            assert all(link.transport is not None for d in daemons for link in d.links.values())
+        finally:
+            await _stop_cluster(daemons)
+
+    asyncio.run(main())
+
+
+def test_boot_announce_waits_for_each_peers_link_back(monkeypatch):
+    """The peers' links to the announcing node 0 connect 0.3 s late, after
+    node 0's own links are up. Node 0 waits for them before it announces,
+    so no peer's first reply is dropped, and the cluster serves within
+    0.25 s of those links' connect, not a retransmit timer later."""
+    delay = 0.3
+    maintain = daemon_mod._PeerLink.maintain
+
+    async def slow_link_back(link):
+        if link.peer_id == 0:
+            await asyncio.sleep(delay)
+        await maintain(link)
+
+    monkeypatch.setattr(daemon_mod._PeerLink, "maintain", slow_link_back)
+
+    async def main():
+        cfgs = cluster_configs(3, announce=full_range_roster(0, {0, 1, 2}),
+                               timers={"hb_fail_ms": 3000, "guard_ms": 4000, "lease_ms": 4000})
+        daemons = await _start_cluster([cfgs[1], cfgs[2], cfgs[0]])
+        try:
+            await _until_ready(daemons, Ballot(1, 0), deadline_s=delay + 0.25)
+        finally:
+            await _stop_cluster(daemons)
+
+    asyncio.run(main())
+
+
+def test_boot_announce_falls_back_to_hb_fail():
+    """With a peer that never comes up, the announcing node sends its boot
+    roster after t_hb_fail; a peer started later gets it from heartbeats."""
+    async def main():
+        cfgs = cluster_configs(3, announce=full_range_roster(0, {1}))
+        loop = asyncio.get_running_loop()
+        t0 = loop.time()
+        daemons = await _start_cluster(cfgs[:2])
+        try:
+            await _until(lambda: daemons[0].node.bal == Ballot(1, 0))
+            took = loop.time() - t0
+            assert 0.25 <= took < 1.0, took
+            await _until_ready(daemons, Ballot(1, 0))
+            daemons += await _start_cluster(cfgs[2:])
+            await _until(lambda: daemons[2].node.bal == Ballot(1, 0))
+            await _until_ready(daemons, Ballot(1, 0))
+        finally:
+            await _stop_cluster(daemons)
+
+    asyncio.run(main())
+
+
+def test_peer_link_reconnects_at_once():
+    """A peer link whose connection the receiver closes is up again within
+    0.1 s, five times over; the nodes' state is unchanged and the cluster
+    still serves."""
+    async def main():
+        cfgs = cluster_configs(3)
+        daemons = await _start_cluster(cfgs)
+        addrs = [c.peers[i].client for i, c in enumerate(cfgs)]
+        try:
+            rep = await ctl_request(addrs[0], "roster_set", full_range_roster(0, {1, 2}))
+            assert rep.ok
+            await _until_ready(daemons, rep.bal)
+            bal, roster = rep.bal, rep.roster
+            digests = [d.node.state_digest() for d in daemons]
+            link = daemons[0].links[1]
+            for _ in range(5):
+                old = link.transport
+                here = old.get_extra_info("sockname")
+                accepted = next(tr for tr in daemons[1]._accepted
+                                if tr.get_extra_info("peername") == here)
+                accepted.close()
+                await _until(lambda: link.transport not in (None, old), deadline_s=0.1)
+            for i, d in enumerate(daemons):
+                rep = await ctl_request(addrs[i], "roster_get")
+                assert rep.ok and rep.bal == bal and rep.roster == roster
+            assert [d.node.state_digest() for d in daemons] == digests
+            cli = KvClient(addrs, site=1, cid="t4", op_timeout_s=5.0)
+            assert (await cli.put(b"k", b"v"))[0] == "ok"
+            assert (await cli.get(b"k"))[:2] == ("ok", b"v")
+            await cli.close()
+        finally:
+            await _stop_cluster(daemons)
 
     asyncio.run(main())
 
@@ -417,8 +564,9 @@ def test_layer_wrappers_see_every_frame_and_event(monkeypatch):
             d.node.handle = counting_handle
         addrs = [c.peers[i].client for i, c in enumerate(cfgs)]
         try:
-            assert (await ctl_request(addrs[0], "roster_set", full_range_roster(0, {1, 2}))).ok
-            await asyncio.sleep(0.5)
+            rep = await ctl_request(addrs[0], "roster_set", full_range_roster(0, {1, 2}))
+            assert rep.ok
+            await _until_ready(daemons, rep.bal)
             cli = KvClient(addrs, site=1, cid="w1", op_timeout_s=5.0)
             for i in range(5):
                 assert (await cli.put(b"k%d" % i, b"v"))[0] == "ok"
@@ -446,7 +594,7 @@ def test_live_cluster_redirect_and_local_read_paths():
         try:
             rep = await ctl_request(addrs[0], "roster_set", full_range_roster(0, {2}))
             assert rep.ok
-            await asyncio.sleep(0.5)
+            await _until_ready(daemons, rep.bal)
             cli = KvClient(addrs, site=2, cid="t1", op_timeout_s=5.0)
             assert (await cli.put(b"k", b"v"))[0] == "ok"
             # responder-site read is served by node 2 without re-contact
@@ -476,7 +624,7 @@ def test_live_cluster_survives_node_kill():
         try:
             rep = await ctl_request(addrs[0], "roster_set", full_range_roster(0, {2, 3, 4}))
             assert rep.ok
-            await asyncio.sleep(0.5)
+            await _until_ready(daemons, rep.bal)
             cli = KvClient(addrs, site=1, cid="t3", op_timeout_s=8.0)
             assert (await cli.put(b"a", b"1"))[0] == "ok"
             await daemons[4].stop()  # kill one responder
@@ -508,8 +656,9 @@ def test_bench_against_a_live_cluster(tmp_path, rate):
         daemons = await _start_cluster(cfgs)
         addrs = [c.peers[i].client for i, c in enumerate(cfgs)]
         try:
-            assert (await ctl_request(addrs[0], "roster_set", full_range_roster(0, {1, 2}))).ok
-            await asyncio.sleep(0.5)
+            rep = await ctl_request(addrs[0], "roster_set", full_range_roster(0, {1, 2}))
+            assert rep.ok
+            await _until_ready(daemons, rep.bal)
             return await bench(spec, addrs, seed=3, csv_path=str(tmp_path / "ops.csv"),
                                history_path=str(tmp_path / "hist.jsonl"))
         finally:
