@@ -11,6 +11,10 @@ schedule variations:
     fixed large amount, enumerated over the first `MAX_SEND_INDEX` such
     sends (delay-bounded exploration).
 
+The postponing goes through the simulator's `delay_chooser` hook, which is
+asked about every message from one node to another as
+`(delay, msg) -> delay`; a delay of None means the message is lost.
+
 Every run is checked for linearizability, agreement, and the
 single-stable-roster invariant. The same harness with a seeded mutation
 ("commit_no_responder_coverage" or "stable_no_thresh") must produce a
@@ -19,7 +23,7 @@ counterexample; that is how the checker itself is validated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from ..lincheck import check
@@ -56,7 +60,6 @@ class ExploreResult:
     runs: int
     budget_exhausted: bool
     counterexample: dict | None = None
-    elapsed_s: float = 0.0
 
     def summary(self) -> str:
         if self.ok:
@@ -106,30 +109,42 @@ class _Chooser:
     def __init__(self, delays: tuple[int, ...]) -> None:
         self.delays = set(delays)
         self.idx = 0
-        self.count = 0
 
-    def __call__(self, _send_seq, _frm, _to, d, msg):
-        if msg is None or not isinstance(msg, INTERESTING):
+    def __call__(self, d, msg):
+        if not isinstance(msg, INTERESTING):
             return d
         i = self.idx
         self.idx += 1
-        self.count = self.idx
         if d is not None and i in self.delays:
             return d + EXTRA_DELAY
         return d
 
 
-def _one_run(cfg: ExploreConfig, mutations: frozenset[str], seed: int = 0) -> tuple[list[str], Simulation]:
+def _one_run(cfg: ExploreConfig, mutations: frozenset[str]) -> list[str]:
     sc = scenario_from_dict(_scenario_dict(cfg))
-    chooser = _Chooser(cfg.delays)
-    sim = Simulation(sc, seed, monitors=True, mutations=mutations,
-                     drift=False, delay_chooser=chooser)
+    sim = Simulation(sc, 0, monitors=True, mutations=mutations,
+                     drift=False, delay_chooser=_Chooser(cfg.delays))
     res = sim.run(until=3_200_000)
-    violations = list(sim.violations)
+    violations = list(res.violations)
     v = check([r.history_row() for r in res.history])
     if v is not None:
         violations.append("linearizability: " + v.describe())
-    return violations, sim
+    return violations
+
+
+def _configs():
+    """Every configuration, in the order they are explored: the delay-only
+    schedules (0, 1, then 2 postponed deliveries), then one crash combined
+    with at most one postponed delivery."""
+    delay_sets = [d for k in range(MAX_DELAYS + 1)
+                  for d in combinations(range(MAX_SEND_INDEX), k)]
+    crashes = [(node, at_ms * 1000) for node in range(3) for at_ms in (160, 300)]
+    passes = [(None, delay_sets)] + [(c, delay_sets[:MAX_SEND_INDEX + 1]) for c in crashes]
+    for crash, delay_choices in passes:
+        for resp in ((), (1,), (2,), (1, 2)):
+            for change in (False, True):
+                for delays in delay_choices:
+                    yield ExploreConfig(resp, change, crash, delays)
 
 
 def explore_interleavings(
@@ -143,51 +158,12 @@ def explore_interleavings(
     """
     started = time.monotonic()
     runs = 0
-    budget_exhausted = False
-
-    responder_choices = ((), (1,), (2,), (1, 2))
-    crash_choices: list[tuple[int, int] | None] = [None]
-    for node in range(3):
-        for at_ms in (160, 300):
-            crash_choices.append((node, at_ms * 1000))
-
-    def out_of_budget() -> bool:
-        return runs >= budget_runs or time.monotonic() - started > TIME_BUDGET_S
-
-    def attempt(cfg: ExploreConfig) -> dict | None:
-        nonlocal runs
+    for cfg in _configs():
+        if runs >= budget_runs or time.monotonic() - started > TIME_BUDGET_S:
+            return ExploreResult(True, runs, True)
         runs += 1
-        violations, _sim = _one_run(cfg, mutations)
+        violations = _one_run(cfg, mutations)
         if violations:
-            return {"config": cfg.label(), "violations": violations}
-        return None
-
-    # pass 1: delay-only schedules (0, 1, then 2 postponed deliveries)
-    delay_sets = [d for k in range(MAX_DELAYS + 1)
-                  for d in combinations(range(MAX_SEND_INDEX), k)]
-    for resp in responder_choices:
-        for change in (False, True):
-            for delays in delay_sets:
-                if out_of_budget():
-                    budget_exhausted = True
-                    return ExploreResult(True, runs, True,
-                                         elapsed_s=time.monotonic() - started)
-                bad = attempt(ExploreConfig(resp, change, None, delays))
-                if bad is not None:
-                    return ExploreResult(False, runs, False, bad,
-                                         time.monotonic() - started)
-    # pass 2: one crash combined with at most one postponed delivery
-    for crash in crash_choices[1:]:
-        for resp in responder_choices:
-            for change in (False, True):
-                for delays in delay_sets[:MAX_SEND_INDEX + 1]:  # sizes 0 and 1
-                    if out_of_budget():
-                        budget_exhausted = True
-                        return ExploreResult(True, runs, True,
-                                             elapsed_s=time.monotonic() - started)
-                    bad = attempt(ExploreConfig(resp, change, crash, delays))
-                    if bad is not None:
-                        return ExploreResult(False, runs, False, bad,
-                                             time.monotonic() - started)
-    return ExploreResult(True, runs, budget_exhausted,
-                         elapsed_s=time.monotonic() - started)
+            return ExploreResult(False, runs, False,
+                                 {"config": cfg.label(), "violations": violations})
+    return ExploreResult(True, runs, False)

@@ -15,7 +15,7 @@ import random
 import zlib
 from dataclasses import dataclass, field, fields
 
-from ..events import ArmTimer, CancelTimer, ClientRequest, Deliver, OperatorRequest, Reply, Send, TimerFire
+from ..events import ArmTimer, CancelTimer, Deliver, OperatorRequest, Reply, Send, TimerFire
 from ..messages import Accept, Commit
 from ..log import ConsensusLog
 from ..model import Ballot, Command, Roster
@@ -134,12 +134,11 @@ class _ClientState:
     cid: str
     site: int
     cache: ClientCache
-    rng: random.Random
+    rng: random.Random | None  # draws the workload's ops; None for a scripted client
+    closed_loop: bool
     ops_done: int = 0
     session: ClientSession | None = None
-    record: OpRecord | None = None
     timer: _Timer = field(default_factory=_Timer)
-    closed_loop: bool = True
 
 
 def _tagged(v):
@@ -183,7 +182,7 @@ class Simulation:
         self.cfg = sc.config
         self.trace_on = trace
         self.monitors = monitors
-        self.delay_chooser = delay_chooser  # exploration hook: (idx, a, b, d) -> d
+        self.delay_chooser = delay_chooser  # exploration hook: (delay, msg) -> delay
         self.net_rng = random.Random((seed * 2654435761) & 0xFFFFFFFF)
         self.net = NetworkModel(sc, self.net_rng)
         rho = sc.drift_rate_bound() if drift else 0.0
@@ -267,32 +266,20 @@ class Simulation:
     def _send_node(self, frm: int, to: int, msg) -> None:
         d = self.net.delay(frm, to)
         if self.delay_chooser is not None and frm != to:
-            d = self.delay_chooser(self.sends, frm, to, d, msg)
+            d = self.delay_chooser(d, msg)
         self.sends += 1
         if d is None:
             return
         self.seq += 1
         heapq.heappush(self.heap, (self.now + d, self.seq, "nmsg", (to, frm, msg)))
 
-    def _send_client_req(self, cs: _ClientState, target: int, req: ClientRequest) -> None:
-        d = self.net.client_delay(cs.site, target)
-        if self.delay_chooser is not None and cs.site != target:
-            d = self.delay_chooser(self.sends, cs.site, target, d, None)
+    def _client_hop(self, site: int, node: int, kind: str, *data) -> None:
+        """A message between a client at `site` and `node`, either way."""
+        d = self.net.client_delay(site, node)
         self.sends += 1
-        if d is None:
-            return
-        self.seq += 1
-        heapq.heappush(self.heap, (self.now + d, self.seq, "creq", (target, req)))
-
-    def _reply_to_client(self, frm_node: int, client: str, msg) -> None:
-        cs = self.clients.get(client)
-        if cs is None:
-            return
-        d = self.net.client_delay(cs.site, frm_node)
-        self.sends += 1
-        if d is None:
-            return
-        self._push(self.now + d, "cmsg", client, msg)
+        if d is not None:
+            self.seq += 1
+            heapq.heappush(self.heap, (self.now + d, self.seq, kind, data))
 
     def _apply_outputs(self, node_id: int, outs: list) -> None:
         timers = self.node_timers[node_id]
@@ -311,7 +298,9 @@ class Simulation:
             elif t is Reply:
                 if monitors and o.served_at is not None:
                     self._observe_read(node_id, o)
-                self._reply_to_client(node_id, o.client, o.msg)
+                cs = self.clients.get(o.client)
+                if cs is not None:
+                    self._client_hop(cs.site, node_id, "cmsg", o.client, o.msg)
             elif t is ArmTimer:
                 key = o.key
                 tm = timers.get(key)
@@ -428,52 +417,45 @@ class Simulation:
 
     # -------------------------------------------------------------- clients
 
+    def _add_client(self, cid: str, site: int, rng: random.Random | None,
+                    closed_loop: bool) -> _ClientState:
+        cs = self.clients[cid] = _ClientState(
+            cid, site, ClientCache(site, self.sc.n, self.cfg.t_unhold), rng, closed_loop)
+        return cs
+
     def _client_outputs(self, cs: _ClientState, outs: list) -> None:
         for o in outs:
             if isinstance(o, ClientSend):
-                sess = cs.session
-                if sess is None:
-                    continue
-                if cs.record is not None:
-                    cs.record.contacted = len(set(sess.contacted))
-                self._send_client_req(cs, o.target, o.req)
+                self._client_hop(cs.site, o.target, "creq", o.target, o.req)
             elif isinstance(o, ClientArm):
                 self._arm(cs.timer, o.deadline, "ctimer", (cs.cid,))
             elif isinstance(o, ClientDone):
-                rec = cs.record
-                if rec is not None:
-                    rec.response = self.now
-                    rec.outcome = o.outcome
-                    if rec.op == "get":
-                        rec.value = o.value
-                    if o.outcome != "ok":
-                        rec.response = None
-                    rec.contacted = len(set(cs.session.contacted)) if cs.session else 0
-                    self.history.append(rec)
-                    self._op_completed(rec.request_id)
-                cs.session = None
-                cs.record = None
+                rid = self._end_op(cs, o.outcome, o.value)
+                self.completed_ops.add(rid)
+                for ev in self.waiting_script.pop(rid, []):
+                    self._push(max(self.now + 1000, ev.at), "script_op", ev)
                 cs.timer.seq = 0  # disarm the pending timer
                 if cs.closed_loop:
                     nxt = self.now + max(1, self.sc.workload.think)
                     if nxt < self.sc.workload.start + self.sc.workload.duration:
                         self._push(nxt, "cbegin", cs.cid)
 
-    def _begin_op(self, cs: _ClientState, op: str, key: bytes, value: bytes | None, rid: str) -> None:
-        sess = ClientSession(cs.cache, cs.cid, Command(op, key, value, rid), self.now,
-                             self.sc.workload.op_timeout)
-        cs.session = sess
-        cs.record = OpRecord(
-            client=cs.cid, request_id=rid, op=op, key=key, value=value,
-            invoke=self.now, response=None, outcome="timeout",
-            site=cs.site, contacted=0,
-        )
-        self._client_outputs(cs, sess.begin())
+    def _begin_op(self, cs: _ClientState, cmd: Command) -> None:
+        cs.session = ClientSession(cs.cache, cs.cid, cmd, self.now, self.sc.workload.op_timeout)
+        self._client_outputs(cs, cs.session.begin())
 
-    def _op_completed(self, op_id: str) -> None:
-        self.completed_ops.add(op_id)
-        for ev in self.waiting_script.pop(op_id, []):
-            self._push(max(self.now + 1000, ev.at), "script_op", ev)
+    def _end_op(self, cs: _ClientState, outcome: str, value: bytes | None) -> str:
+        """Close the client's session and record its op in the history, as
+        ending now with `outcome` (and, for a read, `value`). Returns the
+        op's request id."""
+        sess, cs.session = cs.session, None
+        cmd = sess.cmd
+        self.history.append(OpRecord(
+            client=cs.cid, request_id=cmd.request_id, op=cmd.kind, key=cmd.key,
+            value=cmd.value if cmd.is_write() else value, invoke=sess.started,
+            response=self.now if outcome == "ok" else None, outcome=outcome,
+            site=cs.site, contacted=len(set(sess.contacted))))
+        return cmd.request_id
 
     # ---------------------------------------------------------------- setup
 
@@ -491,14 +473,10 @@ class Simulation:
             for _k in range(grp.count):
                 cid = f"w{grp.site}.{idx}"
                 idx += 1
-                cs = _ClientState(
-                    cid=cid, site=grp.site,
-                    cache=ClientCache(grp.site, self.sc.n, self.cfg.t_unhold),
-                    rng=random.Random((self.seed * 1_000_003) ^ zlib.crc32(cid.encode())),
-                )
-                self.clients[cid] = cs
+                self._add_client(cid, grp.site,
+                                 random.Random((self.seed * 1_000_003) ^ zlib.crc32(cid.encode())),
+                                 closed_loop=w.open_rate_per_s <= 0)
                 if w.open_rate_per_s > 0:
-                    cs.closed_loop = False
                     period = int(1_000_000 / w.open_rate_per_s)
                     t = w.start + (idx % max(1, period))
                     while t < w.start + w.duration:
@@ -525,20 +503,11 @@ class Simulation:
         if ev.after and ev.after not in self.completed_ops:
             self.waiting_script.setdefault(ev.after, []).append(ev)
             return
-        cid = ev.op_id
-        cs = self.clients.get(cid)
-        if cs is None:
-            cs = _ClientState(
-                cid=cid, site=ev.site,
-                cache=ClientCache(ev.site, self.sc.n, self.cfg.t_unhold),
-                rng=random.Random(self.seed ^ 0xAB),
-            )
-            self.clients[cid] = cs
-            cs.closed_loop = False
+        cs = self.clients.get(ev.op_id) or self._add_client(ev.op_id, ev.site, None, False)
         if ev.kind == "write":
-            self._begin_op(cs, "put", ev.key, ev.value, ev.op_id)
+            self._begin_op(cs, Command("put", ev.key, ev.value, ev.op_id))
         else:
-            self._begin_op(cs, "get", ev.key, None, ev.op_id)
+            self._begin_op(cs, Command("get", ev.key, None, ev.op_id))
 
     # ----------------------------------------------------------------- loop
 
@@ -586,8 +555,8 @@ class Simulation:
                 if cs.session is None:
                     cs.ops_done += 1
                     key, value = self._ops.draw(cs.rng, cs.cid, cs.ops_done)
-                    self._begin_op(cs, "get" if value is None else "put", key, value,
-                                   f"{cs.cid}.{cs.ops_done}")
+                    self._begin_op(cs, Command("get" if value is None else "put", key, value,
+                                               f"{cs.cid}.{cs.ops_done}"))
             elif kind == "script_op":
                 self._run_script_op(data[0])
             elif kind == "crash":
@@ -606,13 +575,8 @@ class Simulation:
                 self._node_event(node_id, OperatorRequest("roster_set", "op", roster))
         # flush ops still in flight as timeouts
         for cs in self.clients.values():
-            if cs.record is not None:
-                cs.record.response = None
-                cs.record.outcome = "timeout"
-                cs.record.contacted = len(set(cs.session.contacted)) if cs.session else 0
-                self.history.append(cs.record)
-                cs.session = None
-                cs.record = None
+            if cs.session is not None:
+                self._end_op(cs, "timeout", None)
         self.history.sort(key=lambda r: (r.invoke, r.request_id))
         return SimResult(
             history=self.history,
@@ -702,7 +666,8 @@ def inject_interfering_write(sc: Scenario, seed: int, write_rid: str, read_site:
         if not msg:
             continue
         if msg.get("kind") == "Accept" and accept_at is None:
-            if write_rid in line and d.get("to") == d.get("frm"):
+            rids = [c["_c"]["request_id"] for c in msg["batch"]]
+            if write_rid in rids and d.get("to") == d.get("frm"):
                 accept_at = d["t"]
                 slot = msg["slot"]
         elif msg.get("kind") == "Commit" and slot is not None and commit_seen_at is None:

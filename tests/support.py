@@ -1,9 +1,16 @@
 """Shared scenario builders for integration and acceptance tests."""
 from __future__ import annotations
 
+import json
 import random
 
 from bodega.sim.scenario import Scenario, scenario_from_dict
+
+
+def op_row(rec) -> str:
+    """A simulator `OpRecord` as one JSON line, every field included."""
+    return json.dumps(dict(rec.history_row(), site=rec.site, contacted=rec.contacted),
+                      sort_keys=True)
 
 
 def sym(n: int, rtt_ms: float) -> list[list[float]]:

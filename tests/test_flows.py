@@ -143,6 +143,23 @@ def test_held_read_released_by_early_notes_before_commit():
         assert abs(fin - (T2 + 90_000) - 250) < 2_000, (fin - T2)
 
 
+def test_interfering_write_is_found_by_its_exact_request_id():
+    # the workload client w1.0 issues writes w1.0.1, w1.0.2, ... whose ids
+    # contain the scripted write's id "w1"; only the scripted one counts
+    d = {
+        "name": "rid-prefix", "nodes": 3, "rtt_ms": sym(3, 20),
+        "initial_roster": {"announcer": 0, "at_ms": 10, "leader": 0,
+                           "ranges": [{"lo": "", "hi": None, "responders": [0, 1, 2]}]},
+        "workload": {"start_ms": 500, "duration_ms": 800, "keys": 4, "write_ratio": 0.5,
+                     "clients": [{"site": 1, "count": 1}]},
+        "events": [{"at_ms": 1000, "write": {"key": "k0000000", "value": "X", "site": 0,
+                                              "id": "w1"}}],
+    }
+    out = inject_interfering_write(scenario_from_dict(d), seed=1, write_rid="w1", read_site=1)
+    assert out["write"].outcome == "ok"
+    assert out["write"].invoke <= out["accept_at"] <= out["write"].response
+
+
 def test_explicit_roster_change_two_rounds():
     d = {
         "name": "change", "nodes": 5, "rtt_ms": sym(5, 40),

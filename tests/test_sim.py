@@ -6,6 +6,7 @@ import json
 import pytest
 
 from bodega.service.config import ConfigError, node_config_from_dict
+from bodega.sim.explore import _configs
 from bodega.sim.harness import ClockModel, NetworkModel, Simulation, run_scenario
 from bodega.sim.scenario import (
     ScenarioError,
@@ -14,7 +15,7 @@ from bodega.sim.scenario import (
     scenario_from_dict,
 )
 
-from .support import geo_scenario, random_fault_scenario
+from .support import geo_scenario, op_row, random_fault_scenario
 
 SYM20 = {
     "name": "sym20",
@@ -187,28 +188,51 @@ def test_crash_stops_node():
     assert check([r.history_row() for r in res.history]) is None
 
 
-# SHA-256 of the full trace of fixed (scenario, seed) pairs: the behaviour
-# oracle for changes that must leave the protocol and the simulator's event
-# order alone, such as speedups. A change that alters behaviour on purpose
-# records new values and says why.
+# SHA-256s of the full trace and of the history (every field of every
+# OpRecord, one `op_row` line each) of fixed (scenario, seed) pairs: the
+# behaviour oracle for changes that must leave the protocol and the
+# simulator's event order alone, such as speedups. The trace has no
+# client-side rows, so the history pin is what covers the clients' own
+# bookkeeping. A change that alters behaviour on purpose records new values
+# and says why.
 RECORDED_TRACES = {
     "rand3": (lambda: random_fault_scenario(3), 3,
-              "6a219f77d3d8d58142b95efb1d78d74891fd28d601141dd2f9c9f406b7194d21"),
+              "6a219f77d3d8d58142b95efb1d78d74891fd28d601141dd2f9c9f406b7194d21",
+              "37cc2a9f31a2cef10189d87c6a48e6f7c1b941a89fa49ccadedf7dda77c65423"),
     "rand97": (lambda: random_fault_scenario(97), 97,
-               "cca9235319a25c7cca2838dbe2ddef2478dc30b634be19c794f05b632847136f"),
+               "cca9235319a25c7cca2838dbe2ddef2478dc30b634be19c794f05b632847136f",
+               "2f7d09089ee5727daa0541ec0576a17dfc04d1322b1b9dfd878c84dd339756ce"),
     "rand179": (lambda: random_fault_scenario(179), 179,
-                "f1656ef0d9d78413db493c700842fc5c23b50e63d506fae982771eceb0e85c35"),
+                "f1656ef0d9d78413db493c700842fc5c23b50e63d506fae982771eceb0e85c35",
+                "b2301a047fcb86e53901c03645243956b3277527476aa18dba46b2656ba91452"),
     "geo10": (lambda: geo_scenario(0.10), 31,
-              "cb6951afde2b06b37992db2f9ea87cafe78c10ad63862ee67ce7be50bd54305e"),
+              "cb6951afde2b06b37992db2f9ea87cafe78c10ad63862ee67ce7be50bd54305e",
+              "82b5379afc1a6515509b2efde6198f184da9d96e620f7b03fbe20da55364caeb"),
     "crash_leader": (lambda: load_scenario("scenarios/crash_leader.json"), 7,
-                     "679b2d98bce65b6fcca67f9f18499a41dcf5c02cee55f624599100c972d60d7a"),
+                     "679b2d98bce65b6fcca67f9f18499a41dcf5c02cee55f624599100c972d60d7a",
+                     "17ddf698608cb6f01e27143257c1e73d25f2a21fff367083ef9d8ac65167d240"),
     "zipf_open": (lambda: scenario_from_dict(ZIPF_OPEN), 5,
-                  "0c089b6fd9eac9919993b6d658da245c96309cc60a2113edce98037964099130"),
+                  "0c089b6fd9eac9919993b6d658da245c96309cc60a2113edce98037964099130",
+                  "99459fe3f0b470a205a37fd3a2d1db7a6b719841dc1b22c304c35d5988f6682e"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED_TRACES))
 def test_recorded_traces_unchanged(name):
-    make, seed, sha = RECORDED_TRACES[name]
+    make, seed, trace_sha, history_sha = RECORDED_TRACES[name]
     res = run_scenario(make(), seed=seed, trace=True)
-    assert hashlib.sha256("\n".join(res.trace).encode()).hexdigest() == sha
+    assert hashlib.sha256("\n".join(res.trace).encode()).hexdigest() == trace_sha
+    rows = "\n".join(op_row(r) for r in res.history)
+    assert hashlib.sha256(rows.encode()).hexdigest() == history_sha
+
+
+def test_explorer_enumerates_its_configs_in_a_fixed_order():
+    """c02's clean run count, and the first and last configs of the
+    delay-only pass and of the crash pass: a reordered enumeration would
+    move the run counts c02 prints for its mutants."""
+    labels = [cfg.label() for cfg in _configs()]
+    assert len(labels) == 7112
+    assert labels[0] == "resp=[] change=False"
+    assert labels[5335] == "resp=[1, 2] change=True delayed=[34, 35]"
+    assert labels[5336] == "resp=[] change=False crash=n0@160ms"
+    assert labels[7111] == "resp=[1, 2] change=True crash=n2@300ms delayed=[35]"
