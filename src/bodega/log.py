@@ -33,6 +33,10 @@ class LogSlot:
     accept_notes: set[NodeId] = field(default_factory=set)
     # held local reads: (key, client, request_id, want_roster)
     pending_reads: list[tuple[bytes, str, str, bool]] = field(default_factory=list)
+    keys: tuple[bytes, ...] = field(init=False)  # distinct keys the batch writes
+
+    def __post_init__(self) -> None:
+        self.keys = _written_keys(self.batch)
 
     def value_of(self, key: bytes) -> bytes | None:
         """Last value written to `key` within this batch, if any."""
@@ -43,6 +47,10 @@ class LogSlot:
                 val = cmd.value
                 found = True
         return val if found else None
+
+
+def _written_keys(batch: tuple[Command, ...]) -> tuple[bytes, ...]:
+    return tuple(dict.fromkeys(cmd.key for cmd in batch if cmd.is_write()))
 
 
 @dataclass(slots=True)
@@ -72,6 +80,7 @@ class ConsensusLog:
             self._unindex(s)
             s.bal = bal
             s.batch = batch
+            s.keys = _written_keys(batch)
             s.status = SlotStatus.ACCEPTED
             s.accept_replies = set()
             s.accept_notes = set()
@@ -84,17 +93,13 @@ class ConsensusLog:
         return s
 
     def _index(self, s: LogSlot) -> None:
-        seen: set[bytes] = set()
         for cmd in s.batch:
             if cmd.request_id:
                 self.rid_index.setdefault(cmd.request_id, []).append(s.index)
-            if cmd.is_write() and cmd.key not in seen:
-                seen.add(cmd.key)
-                lst = self.key_index.setdefault(cmd.key, [])
-                bisect.insort(lst, s.index)
+        for key in s.keys:
+            bisect.insort(self.key_index.setdefault(key, []), s.index)
 
     def _unindex(self, s: LogSlot) -> None:
-        seen: set[bytes] = set()
         for cmd in s.batch:
             if cmd.request_id:
                 where = self.rid_index.get(cmd.request_id)
@@ -102,13 +107,12 @@ class ConsensusLog:
                     where.remove(s.index)
                     if not where:
                         del self.rid_index[cmd.request_id]
-            if cmd.is_write() and cmd.key not in seen:
-                seen.add(cmd.key)
-                lst = self.key_index.get(cmd.key)
-                if lst is not None:
-                    i = bisect.bisect_left(lst, s.index)
-                    if i < len(lst) and lst[i] == s.index:
-                        del lst[i]
+        for key in s.keys:
+            lst = self.key_index.get(key)
+            if lst is not None:
+                i = bisect.bisect_left(lst, s.index)
+                if i < len(lst) and lst[i] == s.index:
+                    del lst[i]
 
     def has_request(self, rid: str) -> bool:
         """True when `rid` was already applied or sits in some logged slot;

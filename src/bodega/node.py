@@ -65,7 +65,7 @@ from .model import (
     next_ballot,
     validate_roster,
 )
-from .reads import FallbackAsWrite, Hold, Redirect, ServeNow, notes_release_slot, read_decision
+from .reads import HELD, read_at
 
 MAX_CATCHUP_BATCH = 64
 
@@ -289,16 +289,16 @@ class Node:
         out: list[Output] = []
         for cmd in self.open_batch:
             entry = self.pending_client_reqs.pop(cmd.request_id, None)
-            if entry is None:
-                continue
-            client, _want = entry
-            if self.ros.leader is not None:
-                out.append(Reply(client, ClientRedirect(
-                    cmd.request_id, self.ros.leader, self.bal, self.ros)))
-            else:
-                out.append(Reply(client, ClientUnavailable(cmd.request_id)))
+            if entry is not None:
+                out.append(self._to_leader(entry[0], cmd.request_id))
         self.open_batch = []
         return out
+
+    def _to_leader(self, client: str, rid: str) -> Reply:
+        """Point a client at the leader, or report none is known."""
+        if self.ros.leader is None:
+            return Reply(client, ClientUnavailable(rid))
+        return Reply(client, ClientRedirect(rid, self.ros.leader, self.bal, self.ros))
 
     def _on_full_roster_request(self, frm: NodeId, msg: FullRosterRequest,
                                 now: int) -> list[Output]:
@@ -379,10 +379,8 @@ class Node:
 
     def _on_client_write(self, req: ClientRequest, now: int) -> list[Output]:
         rid = req.cmd.request_id
-        if self.ros.leader is None:
-            return [Reply(req.client, ClientUnavailable(rid))]
         if not self.is_leader():
-            return [Reply(req.client, ClientRedirect(rid, self.ros.leader, self.bal, self.ros))]
+            return [self._to_leader(req.client, rid)]
         if req.fresh and req.preferred >= 0:
             self.stats.record(req.cmd.key, req.preferred, True)
         if rid in self.log.applied_ids:
@@ -443,11 +441,8 @@ class Node:
             s.accept_notes.add(self.me)
             if self.cfg.early_accept_notes:
                 targets: set[NodeId] = set()
-                seen: set[bytes] = set()
-                for cmd in msg.batch:
-                    if cmd.is_write() and cmd.key not in seen:
-                        seen.add(cmd.key)
-                        targets |= self._responders(cmd.key)
+                for key in s.keys:
+                    targets |= self._responders(key)
                 targets.discard(frm)
                 targets.discard(self.me)
                 note = AcceptNote(msg.bal, msg.slot)
@@ -461,13 +456,7 @@ class Node:
             return False
         if "commit_no_responder_coverage" in self.mutations:
             return True
-        seen: set[bytes] = set()
-        for cmd in s.batch:
-            if cmd.is_write() and cmd.key not in seen:
-                seen.add(cmd.key)
-                if not self._responders(cmd.key) <= s.accept_replies:
-                    return False
-        return True
+        return all(self._responders(key) <= s.accept_replies for key in s.keys)
 
     def _on_accept_reply(self, frm: NodeId, msg: AcceptReply, now: int) -> list[Output]:
         if msg.higher is not None:
@@ -499,26 +488,7 @@ class Node:
         if s is None or s.bal != msg.bal or s.status >= SlotStatus.COMMITTED:
             return []
         s.accept_notes.add(frm)
-        if len(s.accept_notes) >= self.cfg.majority:
-            return self._release_by_notes(s)
-        return []
-
-    def _release_by_notes(self, s) -> list[Output]:
-        """Release the held reads whose keys pass the note-coverage test; the
-        rest stay parked until commit."""
-        if not s.pending_reads:
-            return []
-        out: list[Output] = []
-        keep = []
-        for held in s.pending_reads:
-            key = held[0]
-            if (notes_release_slot(s, key, self.bal, self.ros, self.cfg.majority)
-                    and not self.log.may_be_deduped(s, key)):
-                out.append(self._answer_held(held, s.value_of(key), s.index))
-            else:
-                keep.append(held)
-        s.pending_reads = keep
-        return out
+        return self._settle(s)
 
     def _on_commit(self, frm: NodeId, msg: Commit, now: int) -> list[Output]:
         return self._commit_or_fetch(frm, msg.bal, msg.slots, now)
@@ -572,8 +542,7 @@ class Node:
             self.log.install_snapshot(
                 msg.snap_upto, dict(msg.snap_kv), set(msg.snap_applied)
             )
-            for key, client, rid, want in held:
-                out += self._dispatch_read(key, client, rid, want, now)
+            out += self._redispatch(held, now)
         for idx, bal, batch, committed in msg.entries:
             s = self.log.slots.get(idx)
             if s is not None and s.status >= SlotStatus.COMMITTED:
@@ -591,21 +560,17 @@ class Node:
         out: list[Output] = []
         while (step := self.log.execute_next()) is not None:
             idx, results = step
-            s = self.log.slots[idx]
-            # reads still held here waited for dedup-aware execution
-            for held in s.pending_reads:
-                out.append(self._answer_held(held, self.log.read_value(held[0]), idx))
-            s.pending_reads = []
+            out += self._settle(self.log.slots[idx])
             for cmd, value in results:
                 entry = self.pending_client_reqs.pop(cmd.request_id, None)
                 if entry is None:
                     continue
                 client, want = entry
-                ros = self.ros if want else None
                 if cmd.is_write():
-                    out.append(Reply(client, ClientWriteReply(cmd.request_id, self.bal, ros)))
+                    out.append(Reply(client, ClientWriteReply(
+                        cmd.request_id, self.bal, self.ros if want else None)))
                 else:
-                    out.append(Reply(client, ClientReadReply(cmd.request_id, value, self.bal, ros)))
+                    out.append(self._read_reply(client, cmd.request_id, value, want))
         if (
             self.cfg.snapshot_every
             and self.log.exec_prefix - self.log.snap_upto >= self.cfg.snapshot_every
@@ -684,61 +649,61 @@ class Node:
 
     def _dispatch_read(self, key: bytes, client: str, rid: str,
                        want_roster: bool, now: int) -> list[Output]:
-        decision = read_decision(
-            self.me, key, self.ros, self.is_stable(), self.bal, self.log,
-            self.cfg.majority, self.cfg.early_accept_notes,
-        )
-        if isinstance(decision, ServeNow):
-            self._count("reads_local")
-            ros = self.ros if want_roster else None
-            return [Reply(client, ClientReadReply(rid, decision.value, self.bal, ros),
-                          (key, decision.slot))]
-        if isinstance(decision, Hold):
+        """A stable responder serves or holds the read (`read_at`); any
+        other node redirects it to the leader, and the leader takes it
+        through the log as if it were a write."""
+        if not self.is_stable() or self.me not in self._responders(key):
+            if not self.is_leader():
+                if self.ros.leader is not None:
+                    self._count("reads_redirected")
+                return [self._to_leader(client, rid)]
+            self._count("reads_fallback")
+            if rid in self.log.applied_ids:
+                # retried read already executed once; serve its stable outcome
+                return [self._read_reply(client, rid, self.log.read_value(key), want_roster)]
+            return self._enqueue(Command("get", key, None, rid), client, want_roster, now)
+        idx = self.log.highest_write_slot(key)
+        s = self.log.slots.get(idx)
+        value = self._read_at(s, key)
+        if value is HELD:
             self._count("reads_held")
-            self.log.slots[decision.slot].pending_reads.append((key, client, rid, want_roster))
+            s.pending_reads.append((key, client, rid, want_roster))
             return []
-        if isinstance(decision, Redirect):
-            self._count("reads_redirected")
-            return [Reply(client, ClientRedirect(rid, decision.target, self.bal, self.ros))]
-        # fallback through the log as if it were a write
-        if not self.is_leader():
-            return [Reply(client, ClientUnavailable(rid))]
-        self._count("reads_fallback")
-        if rid in self.log.applied_ids:
-            # retried read already executed once; serve its stable outcome
-            return [Reply(client, ClientReadReply(
-                rid, self.log.read_value(key), self.bal,
-                self.ros if want_roster else None))]
-        return self._enqueue(Command("get", key, None, rid), client, want_roster, now)
+        self._count("reads_local")
+        return [self._read_reply(client, rid, value, want_roster,
+                                 (key, idx or self.log.snap_upto))]
 
-    def _answer_held(self, held: tuple[bytes, str, str, bool], value: bytes | None,
-                     slot: int) -> Reply:
-        key, client, rid, want = held
-        self._count("reads_released")
+    def _read_at(self, s: LogSlot | None, key: bytes) -> object:
+        return read_at(s, key, self.log, self.bal, self.ros, self.cfg.majority,
+                       self.cfg.early_accept_notes)
+
+    def _read_reply(self, client: str, rid: str, value: bytes | None, want: bool,
+                    served_at: tuple[bytes, int] | None = None) -> Reply:
         return Reply(client, ClientReadReply(rid, value, self.bal, self.ros if want else None),
-                     (key, slot))
+                     served_at)
 
-    def _release_pending(self, s) -> list[Output]:
-        """As `s` commits, answer the reads held on it with the slot's value
-        for their key. A read whose write may be skipped as a duplicate stays
-        held until `s` executes (see `_execute`)."""
+    def _settle(self, s: LogSlot) -> list[Output]:
+        """Answer the reads held on `s` that `read_at` now serves (after an
+        accept note, the commit or the execution of `s`); keep the rest."""
         if not s.pending_reads:
             return []
         out: list[Output] = []
         keep = []
         for held in s.pending_reads:
-            if self.log.may_be_deduped(s, held[0]):
+            key, client, rid, want = held
+            value = self._read_at(s, key)
+            if value is HELD:
                 keep.append(held)
             else:
-                out.append(self._answer_held(held, s.value_of(held[0]), s.index))
+                self._count("reads_released")
+                out.append(self._read_reply(client, rid, value, want, (key, s.index)))
         s.pending_reads = keep
         return out
 
     def _commit(self, s: LogSlot) -> list[Output]:
-        """Mark `s` committed, answering the reads held on it first."""
-        out = self._release_pending(s)
+        """Mark `s` committed, then answer the reads it now releases."""
         self.log.mark_committed(s.index)
-        return out
+        return self._settle(s)
 
     def _record_accept(self, idx: int, bal: Ballot, batch: tuple[Command, ...],
                        now: int) -> tuple[LogSlot | None, list[Output]]:
@@ -751,10 +716,7 @@ class Node:
                 and (old.bal != bal or old.batch != batch)):
             held, old.pending_reads = old.pending_reads, []
         s = self.log.record_accept(idx, bal, batch)
-        out: list[Output] = []
-        for key, client, rid, want in held:
-            out += self._dispatch_read(key, client, rid, want, now)
-        return s, out
+        return s, self._redispatch(held, now)
 
     def _redispatch_pending(self, now: int) -> list[Output]:
         """Every held read goes through dispatch again. Held reads must never
@@ -764,12 +726,16 @@ class Node:
         or batch is replaced (by an Accept, a catch-up reply or a step-up)."""
         out: list[Output] = []
         for s in list(self.log.slots.values()):
-            if not s.pending_reads:
-                continue
-            held = s.pending_reads
-            s.pending_reads = []
-            for key, client, rid, want in held:
-                out += self._dispatch_read(key, client, rid, want, now)
+            if s.pending_reads:
+                held, s.pending_reads = s.pending_reads, []
+                out += self._redispatch(held, now)
+        return out
+
+    def _redispatch(self, held: list[tuple[bytes, str, str, bool]],
+                    now: int) -> list[Output]:
+        out: list[Output] = []
+        for key, client, rid, want in held:
+            out += self._dispatch_read(key, client, rid, want, now)
         return out
 
     # ------------------------------------------------------------- operator

@@ -1,43 +1,24 @@
-"""Read path: three-way dispatch gated by the stable-roster check, optimistic
-holding, and the client-side retry/unhold session.
+"""Read path: the responder's per-slot read rule, and the client-side
+retry/unhold session.
 
-The decision function is pure over (roster, lease stability, log); the node
-turns decisions into replies, pending-set entries, or a fallback proposal
-through the log. Decisions and client-session outputs are built per read, so
-they are plain (unfrozen) slots dataclasses, treated as immutable values.
+A stable responder anchors a read at the highest slot that writes its key.
+One pure rule, `read_at`, decides what that slot lets it serve: a value, or
+`HELD` while the slot's fate or visibility is uncertain. The node asks it at
+dispatch, and again on each event on the held read's slot (an accept note,
+its commit, its execution), so the test that holds a read is the one that
+releases it. Client-session outputs are built per op, so they are plain
+(unfrozen) slots dataclasses, treated as immutable values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .events import ClientRequest
-from .log import ConsensusLog, SlotStatus
+from .log import ConsensusLog, LogSlot, SlotStatus
 from .messages import ClientReadReply, ClientRedirect, ClientUnavailable
 from .model import Ballot, Command, NodeId, Roster
 
-
-@dataclass(slots=True)
-class ServeNow:
-    value: bytes | None
-    slot: int  # the anchor slot whose value is served (the snapshot point if none)
-
-
-@dataclass(slots=True)
-class Hold:
-    slot: int
-
-
-@dataclass(slots=True)
-class Redirect:
-    target: NodeId
-
-
-@dataclass(slots=True)
-class FallbackAsWrite:
-    pass
-
-
-ReadDecision = ServeNow | Hold | Redirect | FallbackAsWrite
+HELD = object()  # `read_at`'s answer when the read must wait
 
 
 def notes_release_slot(s, key: bytes, bal: Ballot, roster: Roster, majority: int) -> bool:
@@ -56,37 +37,18 @@ def notes_release_slot(s, key: bytes, bal: Ballot, roster: Roster, majority: int
     return need <= s.accept_notes
 
 
-def read_decision(
-    me: NodeId,
+def read_at(
+    s: LogSlot | None,
     key: bytes,
-    roster: Roster,
-    stable: bool,
-    bal: Ballot,
     log: ConsensusLog,
-    majority: int,
-    early_notes: bool = True,
-) -> ReadDecision:
-    """Dispatch one client read at this node."""
-    is_leader = roster.leader == me
-    if not stable or me not in roster.responders_of(key):
-        if is_leader:
-            return FallbackAsWrite()
-        if roster.leader is not None:
-            return Redirect(roster.leader)
-        return FallbackAsWrite()  # empty roster: no better target exists
-    return responder_read(key, bal, log, roster, majority, early_notes)
-
-
-def responder_read(
-    key: bytes,
     bal: Ballot,
-    log: ConsensusLog,
     roster: Roster,
     majority: int,
-    early_notes: bool = True,
-) -> ReadDecision:
-    """Stable responder (the leader included): serve from the highest
-    interfering write, holding while its fate or visibility is uncertain.
+    early_notes: bool,
+) -> object:
+    """The value a stable responder (the leader included) serves for `key`
+    anchored at slot `s`, the highest write to it; `HELD` while it must wait.
+    `s` is None when only the snapshot covers the key.
 
     The value served for the anchor slot is always the value execution
     gives the key at that slot, which skips duplicated request ids: once the
@@ -99,19 +61,14 @@ def responder_read(
     committed prefix) keeps leader reads ordered after any value a responder
     already served early off accept notes.
     """
-    idx = log.highest_write_slot(key)
-    if idx == 0:
-        return ServeNow(log.snap_kv.get(key), log.snap_upto)
-    s = log.slots[idx]
-    if s.status >= SlotStatus.EXECUTED:
-        return ServeNow(log.read_value(key), idx)
+    if s is None or s.status >= SlotStatus.EXECUTED:
+        return log.read_value(key)
     if log.may_be_deduped(s, key):
-        return Hold(idx)
-    if s.status >= SlotStatus.COMMITTED:
-        return ServeNow(s.value_of(key), idx)
-    if early_notes and notes_release_slot(s, key, bal, roster, majority):
-        return ServeNow(s.value_of(key), idx)
-    return Hold(idx)
+        return HELD
+    if s.status >= SlotStatus.COMMITTED or (
+            early_notes and notes_release_slot(s, key, bal, roster, majority)):
+        return s.value_of(key)
+    return HELD
 
 
 # --------------------------------------------------------------------------

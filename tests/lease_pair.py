@@ -9,28 +9,15 @@ time) is no earlier than the grantee's.
 from __future__ import annotations
 
 import heapq
-import math
 import random
-from dataclasses import dataclass
 
 from bodega.events import ArmTimer, CancelTimer, Send
 from bodega.leases import LeaseEngine
 from bodega.messages import Guard, GuardReply, Renew, RenewReply, Revoke, RevokeReply
 from bodega.model import Ballot, ClusterConfig, next_ballot
+from bodega.sim.harness import ClockModel
 
 S, P = 0, 1  # grantor of interest, grantee of interest
-
-
-@dataclass(slots=True)
-class _Clock:
-    skew: int
-    rate: float
-
-    def local(self, t: int) -> int:
-        return self.skew + t + int(self.rate * t)
-
-    def global_of(self, lt: int) -> int:
-        return max(0, math.ceil((lt - self.skew) / (1.0 + self.rate)))
 
 
 class LeasePair:
@@ -44,8 +31,8 @@ class LeasePair:
         rho = self.cfg.t_delta / (2.0 * self.cfg.t_lease)
         flip = rng.random() < 0.5
         self.clocks = {
-            S: _Clock(rng.randrange(5_000), rho if flip else -rho),
-            P: _Clock(rng.randrange(5_000), -rho if flip else rho),
+            S: ClockModel(rng.randrange(5_000), rho if flip else -rho),
+            P: ClockModel(rng.randrange(5_000), -rho if flip else rho),
         }
         p_cfg = self.cfg
         if break_grantee_margin:
