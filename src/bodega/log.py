@@ -67,6 +67,8 @@ class ConsensusLog:
     # snapshot of everything executed up to snap_upto; slots <= snap_upto are gone
     snap_upto: int = 0
     snap_kv: dict[bytes, bytes] = field(default_factory=dict)
+    # the request ids applied up to snap_upto, as a snapshot catch-up ships them
+    snap_applied: frozenset[str] = frozenset()
 
     # ----------------------------------------------------------- acceptance
 
@@ -211,6 +213,7 @@ class ConsensusLog:
         self.snap_kv.update(self.kv)
         self.kv = {}
         self.snap_upto = self.exec_prefix
+        self.snap_applied = frozenset(self.applied_ids)
         for idx in [i for i in self.slots if i <= self.snap_upto]:
             self._unindex(self.slots[idx])
             del self.slots[idx]
@@ -224,6 +227,7 @@ class ConsensusLog:
         self.kv = {}
         self.snap_upto = upto
         self.applied_ids |= applied
+        self.snap_applied = frozenset(self.applied_ids)
         self.commit_prefix = max(self.commit_prefix, upto)
         self.exec_prefix = upto
         for idx in [i for i in self.slots if i <= upto]:

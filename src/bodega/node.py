@@ -529,7 +529,7 @@ class Node:
             tuple(entries),
             snap_upto=self.log.snap_upto if want_snap else 0,
             snap_kv=tuple(sorted(self.log.snap_kv.items())) if want_snap else (),
-            snap_applied=tuple(sorted(self.log.applied_ids)) if want_snap else (),
+            snap_applied=tuple(sorted(self.log.snap_applied)) if want_snap else (),
         )
         return [Send(frm, reply)]
 

@@ -139,6 +139,28 @@ def test_install_snapshot():
     assert log.read_value(b"x") == b"5"
 
 
+def test_snapshot_applied_ids_stop_at_the_snapshot_point():
+    log = ConsensusLog()
+    for i in range(1, 4):
+        log.record_accept(i, B1, (put(b"x", b"%d" % i, f"r{i}"),))
+        log.mark_committed(i)
+    log.execute_ready()
+    log.take_snapshot()
+    log.record_accept(4, B1, (put(b"x", b"4", "r4"),))
+    log.mark_committed(4)
+    log.execute_ready()
+    assert "r4" in log.applied_ids
+    assert log.snap_applied == {"r1", "r2", "r3"}
+    # a node that installs this snapshot at slot 3 still executes r4
+    peer = ConsensusLog()
+    peer.install_snapshot(log.snap_upto, log.snap_kv, set(log.snap_applied))
+    peer.record_accept(4, B1, log.slots[4].batch)
+    peer.mark_committed(4)
+    peer.execute_ready()
+    assert peer.read_value(b"x") == b"4"
+    assert peer.snap_applied == {"r1", "r2", "r3"}
+
+
 def test_accepted_tail():
     log = ConsensusLog()
     log.record_accept(3, B1, (put(b"x", b"3", "c"),))

@@ -3,7 +3,7 @@ import pytest
 
 from bodega.events import Deliver, Send
 from bodega.log import SlotStatus
-from bodega.messages import CatchUpRequest, Commit, Heartbeat
+from bodega.messages import CatchUpReply, CatchUpRequest, Commit, Heartbeat
 from bodega.model import Ballot, ClusterConfig, Command
 from bodega.node import MAX_CATCHUP_BATCH, Node
 
@@ -39,3 +39,20 @@ def test_reported_commits_are_committed_or_fetched(report, upto):
                if type(o) is Send and type(o.msg) is CatchUpRequest]
     want = ([2, 3] + list(range(6, upto + 1)))[:MAX_CATCHUP_BATCH]
     assert fetches == [(0, tuple(want))]
+
+
+def test_snapshot_catchup_ships_the_ids_applied_up_to_its_point():
+    """A snapshot at slot 3 ships r1-r3; r4, applied later in slot 4, is left
+    to the slot itself, or the receiver would skip it as a duplicate."""
+    node = Node(1, ClusterConfig(n=3))
+    for idx in range(1, 5):
+        node.log.record_accept(idx, B1, (Command("put", b"k", b"v%d" % idx, f"r{idx}"),))
+        node.log.mark_committed(idx)
+        node.log.execute_ready()
+        if idx == 3:
+            node.log.take_snapshot()
+    outs = node.handle(Deliver(0, CatchUpRequest((2, 4))), NOW)
+    [reply] = [o.msg for o in outs if type(o) is Send and type(o.msg) is CatchUpReply]
+    assert reply.snap_upto == 3
+    assert reply.snap_applied == ("r1", "r2", "r3")
+    assert [e[0] for e in reply.entries] == [4]
