@@ -1,6 +1,6 @@
-"""Regression tests for three stale-read faults, each staged by driving
+"""Regression tests for three stale-read faults (A-C), each staged by driving
 `Node.handle` through a FIFO message router, plus the randomized-fault seeds
-on which they were first seen.
+on which they and a fourth (D) were first seen.
 
 A: a client's retried write was proposed again in a later slot, where
    execution skips it as a duplicate, yet responders served its value.
@@ -8,6 +8,9 @@ B: a read held on an uncommitted slot was answered from whatever batch later
    replaced that slot's content.
 C: an acceptor joined a higher ballot while its lease grants for its own were
    still live, so a stale holder of those grants stayed stable past a commit.
+D: a snapshot catch-up shipped request ids applied above its snapshot point,
+   so the receiver skipped those writes as duplicates when it executed them
+   (snapshots on; staged in test_log.py and test_node.py).
 
 The fix for C makes a failover wait out the old grants, as the paper's
 failure-change bound says it must; the last two tests cover what that longer
@@ -224,9 +227,7 @@ def test_client_redirects_it_does_not_follow_do_not_exhaust_it():
     assert sess.on_msg(ClientWriteReply("w1", cache.bal), now) == [ClientDone("ok", None)]
 
 
-# (seed, snapshot_every): the last seven served stale reads after a
-# snapshot catch-up shipped request ids applied above its snapshot point, so
-# the receiver skipped those writes as duplicates when it executed them
+# (seed, snapshot_every); the runs with snapshots on met fault D
 SEEDS = [(97, 0), (121, 0), (179, 0), (965, 0),
          (34, 5), (69, 5), (86, 5), (121, 5), (153, 5), (179, 5), (190, 5)]
 
