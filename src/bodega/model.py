@@ -6,17 +6,18 @@ deadlines are integer microseconds on some node's local clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 NodeId = int
 
-ZERO_BALLOT: "Ballot"
 
-
-@dataclass(frozen=True, slots=True, order=True)
-class Ballot:
+class Ballot(NamedTuple):
     """Unique ordering token: (round, proposing node id), compared lexicographically.
 
-    (0, 0) is the initial empty-roster epoch.
+    (0, 0) is the initial empty-roster epoch. A tuple type, because ballots
+    are compared and hashed on every message: tuple comparison and hashing
+    run in C, several times faster than a dataclass's generated methods,
+    with the same order, hash and repr.
     """
 
     round: int

@@ -25,6 +25,21 @@ def test_ballot_lexicographic_order():
     assert Ballot(3, 0) > Ballot(2, 4)
     assert Ballot(3, 3) > Ballot(3, 0)
     assert Ballot(0, 0) < Ballot(1, 0)
+    assert Ballot(2, 1) >= Ballot(2, 1) and not Ballot(2, 1) < Ballot(2, 1)
+    assert sorted([Ballot(2, 0), Ballot(1, 4), Ballot(2, -1)]) == [
+        Ballot(1, 4), Ballot(2, -1), Ballot(2, 0)]
+
+
+def test_ballot_value_semantics():
+    """Hash, repr and wire form are those of the (round, node) pair, so dict
+    and set order, trace text and frames do not depend on how Ballot is
+    implemented."""
+    b = Ballot(3, 1)
+    assert (b.round, b.node) == (3, 1)
+    assert hash(b) == hash((3, 1))
+    assert repr(b) == "Ballot(round=3, node=1)"
+    assert b.to_wire() == [3, 1]
+    assert {Ballot(3, 1): "x"}[Ballot(3, 1)] == "x"
 
 
 @given(st.integers(0, 100), st.integers(0, 6), st.integers(0, 6))

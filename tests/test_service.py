@@ -146,6 +146,7 @@ def _body(*fields):
 
 _READ_REPLY = to_wire(ClientReadReply("r", None))[0]
 _CLIENT_REQUEST = to_wire(ClientRequest("c1", Command("get", b"k", None, "c1.1")))[0]
+_GUARD = to_wire(Guard(Ballot(1, 0), 0))[0]
 
 # bodies that are JSON but no frame: each must raise WireError, not the
 # RecursionError, AttributeError or TypeError they once raised
@@ -155,6 +156,8 @@ MALFORMED_BODIES = {
     "number_for_bytes": _body("n1", 1, _READ_REPLY, "n1.1", 5, None, None),
     "numeric_command_key": _body("c1", 1, _CLIENT_REQUEST, "c1",
                                  {"kind": "get", "key": 5, "request_id": "c1.1"}, -1, False, True),
+    "ballot_of_three": _body("n1", 1, _GUARD, [1, 0, 0], 0),
+    "ballot_non_int_node": _body("n1", 1, _GUARD, [1, "0"], 0),
 }
 
 
