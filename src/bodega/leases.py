@@ -185,8 +185,9 @@ class LeaseEngine:
         replies: dict[NodeId, bool] = {}
         out: list[Output] = []
         if self.revoking is None:
+            deadline = now + self.cfg.t_lease + self.cfg.t_delta
             for p in self.endowing:
-                out.append(self._arm("endowing", p, now + self.cfg.t_lease + self.cfg.t_delta))
+                out.append(self._arm("endowing", p, deadline))
                 renews[p] = True
         for p in list(self.unreplied_renew):
             if p in self.endowed:

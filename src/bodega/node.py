@@ -45,7 +45,6 @@ from .messages import (
     Guard,
     GuardReply,
     Heartbeat,
-    Msg,
     Prepare,
     PrepareReply,
     Renew,
@@ -170,7 +169,8 @@ class Node:
 
     def handle(self, event: Event, now: int) -> list[Output]:
         if type(event) is Deliver:
-            return self._on_msg(event.frm, event.msg, now)
+            h = _MSG_HANDLERS.get(type(event.msg))
+            return [] if h is None else h(self, event.frm, event.msg, now)
         if type(event) is TimerFire:
             return self._on_timer(event.key, now)
         if type(event) is ClientRequest:
@@ -178,10 +178,6 @@ class Node:
         if type(event) is OperatorRequest:
             return self._on_operator(event, now)
         raise TypeError(f"unhandled event: {event!r}")
-
-    def _on_msg(self, frm: NodeId, msg: Msg, now: int) -> list[Output]:
-        h = _MSG_HANDLERS.get(type(msg))
-        return [] if h is None else h(self, frm, msg, now)
 
     # lease messages: the engine answers for the current ballot
 

@@ -57,7 +57,8 @@ class NetworkModel:
 
     def delay(self, a: int, b: int) -> int | None:
         """One-way node-to-node delay, or None when the message is lost.
-        Loopback is instant and reliable."""
+        Loopback is instant and reliable. `Simulation._apply_outputs` takes
+        the same steps inline for the nodes' own sends."""
         if a == b:
             return 0
         if self.partition is not None and self.partition[a] != self.partition[b]:
@@ -209,9 +210,11 @@ class Simulation:
         self._exec_digests: dict[int, tuple] = {}
         self._n_alive = sc.n
         # node -> ballot it is stable at (live nodes only), and the distinct
-        # such ballots as sorted (round, node) pairs, refreshed on change
-        self._stable_bal: dict[int, object] = {}
-        self._live_bals: list[tuple[int, int]] = []
+        # such ballots in order, refreshed on change; the all-stable check is
+        # due after a refresh or a crash
+        self._stable_bal: dict[int, Ballot] = {}
+        self._live_bals: list[Ballot] = []
+        self._all_stable_due = False
         # reference execution for the read-value monitor: batches proposed
         # per (slot, ballot), a log of the chosen slots executed as nodes
         # execute them, and its effective writes per key as (slots, values)
@@ -219,7 +222,7 @@ class Simulation:
         self._ref = ConsensusLog()
         self._ref_writes: dict[bytes, tuple[list[int], list[bytes | None]]] = {}
         self._read_checks: dict[int, list[tuple]] = {}  # slot -> served reads
-        self.all_stable_at: dict[tuple, int] = {}  # ballot -> first instant all alive nodes stable
+        self.all_stable_at: dict[Ballot, int] = {}  # first instant all alive nodes are stable at it
         self.t_end = 0
 
     # ------------------------------------------------------------- plumbing
@@ -263,16 +266,6 @@ class Simulation:
             row.update(detail)
             self.trace.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
 
-    def _send_node(self, frm: int, to: int, msg) -> None:
-        d = self.net.delay(frm, to)
-        if self.delay_chooser is not None and frm != to:
-            d = self.delay_chooser(d, msg)
-        self.sends += 1
-        if d is None:
-            return
-        self.seq += 1
-        heapq.heappush(self.heap, (self.now + d, self.seq, "nmsg", (to, frm, msg)))
-
     def _client_hop(self, site: int, node: int, kind: str, *data) -> None:
         """A message between a client at `site` and `node`, either way."""
         d = self.net.client_delay(site, node)
@@ -282,45 +275,79 @@ class Simulation:
             heapq.heappush(self.heap, (self.now + d, self.seq, kind, data))
 
     def _apply_outputs(self, node_id: int, outs: list) -> None:
+        """Carry out one node's outputs in order. The node's timers, clock,
+        delay row and the network state are read once per list.
+
+        A Send is the one send step: loopback is instant and reliable;
+        otherwise a partition, then jitter, then loss decide the delay, and
+        the explorer's chooser may change it. A broadcast sends one message
+        object to every peer, so the monitors look at each object once."""
+        heap, now, seq, sends = self.heap, self.now, self.seq, self.sends
         timers = self.node_timers[node_id]
         clock = self.clocks[node_id]
+        skew, rate1 = clock.skew, 1.0 + clock.rate
+        net = self.net
+        row, part, rng = net.one_way[node_id], net.partition, net.rng
+        jitter, drop = self.sc.jitter_us, self.sc.drop_prob
+        chooser = self.delay_chooser
         monitors = self.monitors
+        seen = None
         for o in outs:
             t = type(o)
             if t is Send:
-                msg = o.msg
-                if monitors:
+                msg, to = o.msg, o.to
+                if monitors and msg is not seen:
+                    seen = msg
                     if type(msg) is Accept:
                         self._proposed[(msg.slot, msg.bal)] = msg.batch
                     elif type(msg) is Commit:
                         self._observe_commit(msg)
-                self._send_node(node_id, o.to, msg)
+                if to == node_id:
+                    d = 0
+                else:
+                    if part is not None and part[node_id] != part[to]:
+                        d = None
+                    else:
+                        d = row[to]
+                        if jitter:
+                            d += rng.randrange(jitter + 1)
+                        if drop and rng.random() < drop:
+                            d = None
+                    if chooser is not None:
+                        d = chooser(d, msg)
+                sends += 1
+                if d is not None:
+                    seq += 1
+                    heapq.heappush(heap, (now + d, seq, "nmsg", (to, node_id, msg)))
+            elif t is ArmTimer:
+                # `_arm`, at the global instant `ClockModel.global_of` gives
+                key = o.key
+                tm = timers.get(key)
+                if tm is None:
+                    tm = timers[key] = _Timer()
+                at = max(0, math.ceil((o.deadline - skew) / rate1))
+                seq += 1
+                tm.t, tm.seq = at, seq
+                if tm.head and tm.head_t <= at:
+                    tm.queued = False
+                else:
+                    heapq.heappush(heap, (at, tm.seq, "ntimer", (node_id, key)))
+                    tm.head, tm.head_t, tm.queued = tm.seq, at, True
             elif t is Reply:
                 if monitors and o.served_at is not None:
                     self._observe_read(node_id, o)
                 cs = self.clients.get(o.client)
                 if cs is not None:
-                    self._client_hop(cs.site, node_id, "cmsg", o.client, o.msg)
-            elif t is ArmTimer:
-                key = o.key
-                tm = timers.get(key)
-                if tm is None:
-                    tm = timers[key] = _Timer()
-                self._arm(tm, clock.global_of(o.deadline), "ntimer", (node_id, key))
+                    d = net.client_delay(cs.site, node_id)
+                    sends += 1
+                    if d is not None:
+                        seq += 1
+                        heapq.heappush(heap, (now + d, seq, "cmsg", (o.client, o.msg)))
             elif t is CancelTimer:
                 tm = timers.get(o.key)
                 if tm is not None:
                     tm.seq = 0
-
-    def _node_event(self, node_id: int, ev) -> None:
-        if not self.alive[node_id]:
-            return
-        node = self.nodes[node_id]
-        now_local = self.clocks[node_id].local(self.now)
-        outs = node.handle(ev, now_local)
-        self._apply_outputs(node_id, outs)
-        if self.monitors:
-            self._check_monitors(node_id)
+        self.seq, self.sends = seq, sends
 
     # ------------------------------------------------------------- monitors
 
@@ -376,11 +403,12 @@ class Simulation:
                 f"which executes to {expect!r} (t={t})"
             )
 
-    def _check_monitors(self, node_id: int) -> None:
+    def _check_monitors(self, node_id: int, node: Node) -> None:
         """Agreement on executed slots, and at most one stable ballot among
-        the live nodes. Runs after every node event, so the stable-ballot
-        set is only rebuilt when this node's entry changes."""
-        node = self.nodes[node_id]
+        the live nodes, after every node event. The stable-ballot set is
+        rebuilt only when this node's entry changes, and whether all live
+        nodes are stable at one ballot can change only then or with a
+        crash, so it is looked at only then."""
         if self._exec_seen[node_id] < node.log.exec_prefix:
             self._check_agreement(node_id, node.log)
         sb = node.bal if node.is_stable() else None
@@ -392,12 +420,16 @@ class Simulation:
             self._refresh_live_bals()
         live = self._live_bals
         if len(live) > 1:
-            self.violations.append(f"stability: two stable ballots at t={self.now}: {live}")
-        elif live and len(self._stable_bal) == self._n_alive and live[0] not in self.all_stable_at:
-            self.all_stable_at[live[0]] = self.now
+            self.violations.append(
+                f"stability: two stable ballots at t={self.now}: {[tuple(b) for b in live]}")
+        elif self._all_stable_due:
+            self._all_stable_due = False
+            if live and len(self._stable_bal) == self._n_alive:
+                self.all_stable_at.setdefault(live[0], self.now)
 
     def _refresh_live_bals(self) -> None:
-        self._live_bals = sorted({(b.round, b.node) for b in self._stable_bal.values()})
+        self._live_bals = sorted(set(self._stable_bal.values()))
+        self._all_stable_due = True
 
     def _check_agreement(self, node_id: int, log) -> None:
         seen = self._exec_seen[node_id]
@@ -425,11 +457,12 @@ class Simulation:
 
     def _client_outputs(self, cs: _ClientState, outs: list) -> None:
         for o in outs:
-            if isinstance(o, ClientSend):
+            t = type(o)
+            if t is ClientSend:
                 self._client_hop(cs.site, o.target, "creq", o.target, o.req)
-            elif isinstance(o, ClientArm):
+            elif t is ClientArm:
                 self._arm(cs.timer, o.deadline, "ctimer", (cs.cid,))
-            elif isinstance(o, ClientDone):
+            elif t is ClientDone:
                 rid = self._end_op(cs, o.outcome, o.value)
                 self.completed_ops.add(rid)
                 for ev in self.waiting_script.pop(rid, []):
@@ -509,70 +542,86 @@ class Simulation:
         else:
             self._begin_op(cs, Command("get", ev.key, None, ev.op_id))
 
+    def _host_event(self, kind: str, seq: int, data: tuple) -> None:
+        """An event of the clients, the workload or the fault script."""
+        if kind == "cmsg":
+            cid, msg = data
+            cs = self.clients[cid]
+            if cs.session is not None:
+                self._client_outputs(cs, cs.session.on_msg(msg, self.now))
+        elif kind == "ctimer":
+            cs = self.clients.get(data[0])
+            if cs is not None and self._due(cs.timer, seq, kind, data) and cs.session is not None:
+                self._client_outputs(cs, cs.session.on_timer(self.now))
+        elif kind == "cbegin":
+            cs = self.clients[data[0]]
+            if cs.session is None:
+                cs.ops_done += 1
+                key, value = self._ops.draw(cs.rng, cs.cid, cs.ops_done)
+                self._begin_op(cs, Command("get" if value is None else "put", key, value,
+                                           f"{cs.cid}.{cs.ops_done}"))
+        elif kind == "script_op":
+            self._run_script_op(data[0])
+        elif kind == "crash":
+            if self.alive[data[0]]:
+                self.alive[data[0]] = False
+                self._n_alive -= 1
+            if self._stable_bal.pop(data[0], None) is not None:
+                self._refresh_live_bals()
+            self._all_stable_due = True
+            self._trace(self.now, "crash", {"node": data[0]})
+        elif kind == "part":
+            self.net.set_partition(data[0])
+            self._trace(self.now, "part", {"groups": data[0] and [list(g) for g in data[0]]})
+
     # ----------------------------------------------------------------- loop
 
     def run(self, until: int | None = None) -> SimResult:
         self._setup()
         t_end = until if until is not None else self.t_end
         trace_on = self.trace_on
-        while self.heap:
-            t, seq, kind, data = heapq.heappop(self.heap)
+        heap, nodes, clocks, alive = self.heap, self.nodes, self.clocks, self.alive
+        monitors = self.monitors
+        while heap:
+            t, seq, kind, data = heapq.heappop(heap)
             if t > t_end:
                 break
             self.now = t
+            # a node event builds its event here and shares the tail below
             if kind == "nmsg":
-                to, frm, msg = data
+                node_id, frm, msg = data
                 if trace_on:
-                    self._trace(t, "deliver", {"to": to, "frm": frm, "msg": _trace_msg(msg)})
-                self._node_event(to, Deliver(frm, msg))
+                    self._trace(t, "deliver", {"to": node_id, "frm": frm, "msg": _trace_msg(msg)})
+                ev = Deliver(frm, msg)
             elif kind == "ntimer":
                 node_id, key = data
                 tm = self.node_timers[node_id][key]
-                if not self.alive[node_id] or not self._due(tm, seq, kind, data):
+                if not alive[node_id] or not self._due(tm, seq, kind, data):
                     continue
                 tm.seq = 0
                 if trace_on:
                     self._trace(t, "timer", {"node": node_id, "key": list(key)})
-                self._node_event(node_id, TimerFire(key))
+                ev = TimerFire(key)
             elif kind == "creq":
-                target, ev = data
+                node_id, ev = data
                 if trace_on:
-                    self._trace(t, "creq", {"node": target, "client": ev.client,
+                    self._trace(t, "creq", {"node": node_id, "client": ev.client,
                                             "rid": ev.cmd.request_id, "op": ev.cmd.kind})
-                self._node_event(target, ev)
-            elif kind == "cmsg":
-                cid, msg = data
-                cs = self.clients[cid]
-                if cs.session is not None:
-                    self._client_outputs(cs, cs.session.on_msg(msg, self.now))
-            elif kind == "ctimer":
-                cs = self.clients.get(data[0])
-                if cs is None or not self._due(cs.timer, seq, kind, data) or cs.session is None:
-                    continue
-                self._client_outputs(cs, cs.session.on_timer(self.now))
-            elif kind == "cbegin":
-                cs = self.clients[data[0]]
-                if cs.session is None:
-                    cs.ops_done += 1
-                    key, value = self._ops.draw(cs.rng, cs.cid, cs.ops_done)
-                    self._begin_op(cs, Command("get" if value is None else "put", key, value,
-                                               f"{cs.cid}.{cs.ops_done}"))
-            elif kind == "script_op":
-                self._run_script_op(data[0])
-            elif kind == "crash":
-                if self.alive[data[0]]:
-                    self.alive[data[0]] = False
-                    self._n_alive -= 1
-                if self._stable_bal.pop(data[0], None) is not None:
-                    self._refresh_live_bals()
-                self._trace(t, "crash", {"node": data[0]})
-            elif kind == "part":
-                self.net.set_partition(data[0])
-                self._trace(t, "part", {"groups": data[0] and [list(g) for g in data[0]]})
             elif kind == "roster_set":
                 node_id, roster = data
                 self._trace(t, "roster_set", {"node": node_id})
-                self._node_event(node_id, OperatorRequest("roster_set", "op", roster))
+                ev = OperatorRequest("roster_set", "op", roster)
+            else:
+                self._host_event(kind, seq, data)
+                continue
+            if not alive[node_id]:
+                continue
+            node, c = nodes[node_id], clocks[node_id]
+            outs = node.handle(ev, c.skew + t + int(c.rate * t))  # `ClockModel.local`
+            if outs:
+                self._apply_outputs(node_id, outs)
+            if monitors:
+                self._check_monitors(node_id, node)
         # flush ops still in flight as timeouts
         for cs in self.clients.values():
             if cs.session is not None:

@@ -1,10 +1,13 @@
 """Simulator contracts: determinism, clock drift bound, scenario validation,
 the basic network model semantics, and recorded traces."""
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from bodega.events import Deliver, Reply
+from bodega.messages import Accept
 from bodega.service.config import ConfigError, node_config_from_dict
 from bodega.sim.explore import _configs
 from bodega.sim.harness import ClockModel, NetworkModel, Simulation, run_scenario
@@ -186,6 +189,84 @@ def test_crash_stops_node():
     assert len(ok) > 50
     from bodega.lincheck import check
     assert check([r.history_row() for r in res.history]) is None
+
+
+# Each monitor must fire on the fault it watches for; every other use runs
+# it on a correct core and asserts that it stays silent. Each case builds
+# its fault by hand into one node of SYM20 (leader 0, responders 2-4, so
+# node 1 holds no role and the cluster needs nothing from it).
+
+def _isolated_and_always_stable(sim):
+    """Node 1 never hears the roster, so it stays at ballot (0, 0), and it
+    believes itself stable throughout."""
+    sim.nodes[1].is_stable = lambda: True
+
+
+def _forge(sim, node_id, accepts: bool):
+    """Wrap one node's `handle`: with `accepts`, the node records every
+    Accept it receives with its writes' values forged; otherwise every read
+    it serves from its log answers a forged value."""
+    node = sim.nodes[node_id]
+    inner = node.handle
+
+    def handle(ev, now):
+        if accepts and type(ev) is Deliver and type(ev.msg) is Accept:
+            batch = tuple(dataclasses.replace(c, value=b"forged") if c.is_write() else c
+                          for c in ev.msg.batch)
+            ev = Deliver(ev.frm, dataclasses.replace(ev.msg, batch=batch))
+        outs = inner(ev, now)
+        if not accepts:
+            outs = [Reply(o.client, dataclasses.replace(o.msg, value=b"forged"), o.served_at)
+                    if type(o) is Reply and o.served_at is not None else o for o in outs]
+        return outs
+
+    node.handle = handle
+
+
+ISOLATE_1 = [{"at_ms": 0, "partition": {"groups": [[0, 2, 3, 4], [1]], "heal_ms": 1400}}]
+
+# case -> (script events, fault, the first violation it must produce)
+MONITOR_CASES = {
+    "stability": (ISOLATE_1, _isolated_and_always_stable,
+                  "stability: two stable ballots at t=117648: [(0, 0), (1, 0)]"),
+    "commit_ballot": (ISOLATE_1, _isolated_and_always_stable,
+                      "commit ballot: slot 1 committed at (1, 0) while node 1 is stable at (0, 0)"
+                      " (t=521910)"),
+    "agreement": ([], lambda sim: _forge(sim, 3, accepts=True),
+                  "agreement: slot 1 executed differently at node 3"),
+    "read_value": ([], lambda sim: _forge(sim, 3, accepts=False),
+                   "read value: node 3 served b'k0000005'=b'forged' at slot 6, which executes to"
+                   " b'v.w0.0.17.xxxxxx' (t=592489)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONITOR_CASES))
+def test_each_monitor_fires_on_its_fault(name):
+    events, fault, first = MONITOR_CASES[name]
+    sim = Simulation(scenario_from_dict(dict(SYM20, events=events)), 4, monitors=True)
+    fault(sim)
+    res = sim.run()
+    kind = first.split(":")[0]
+    assert [v for v in res.violations if v.startswith(kind + ":")][0] == first
+
+
+def test_all_stable_is_recorded_at_the_first_node_event_after_a_crash():
+    """Node 1 is never stable, so the cluster is all-stable only once it
+    crashes; the simulator records that at its next node event."""
+    d = dict(SYM20, events=[{"at_ms": 800, "crash": 1}])
+    sim = Simulation(scenario_from_dict(d), 4, monitors=True)
+    sim.nodes[1].is_stable = lambda: False
+    after_crash = []
+    for node in sim.nodes:
+        def handle(ev, now, inner=node.handle):
+            if not sim.alive[1]:
+                after_crash.append(sim.now)
+            return inner(ev, now)
+        node.handle = handle
+    res = sim.run()
+    assert not res.violations
+    assert list(sim.all_stable_at) == [(1, 0)]
+    assert sim.all_stable_at[(1, 0)] == after_crash[0] >= 800_000
 
 
 # SHA-256s of the full trace and of the history (every field of every

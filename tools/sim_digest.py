@@ -1,6 +1,7 @@
 """Digest and CPU time of c01's randomized fault runs.
 
     python3 tools/sim_digest.py [--src path/to/src] [--seeds A-B] [--snapshot-every K]
+                                [--against path/to/other/src]
 
 Runs `tests.support.random_fault_scenario(seed)` with monitors on, and
 lincheck over its history, for every seed in A-B (default 0-99), as c01
@@ -12,6 +13,13 @@ the CPU seconds spent running and checking.
 the same script compares two versions: a change that must keep the
 simulator's behaviour prints the same digest as its parent.
 
+`--against OTHER` times `--src` against a second checkout. Each side runs
+in its own worker process (two in all), and every seed runs on both sides
+in turn, the side that goes first alternating from seed to seed, so the
+host's drift over a run falls on both sides alike. It prints both digests,
+which must match (the exit status is 1 when they do not), both CPU totals,
+and the median over the seeds of the per-seed CPU ratio `--src` / OTHER.
+
 `--snapshot-every K` sets `config.snapshot_every` on every generated
 scenario (default 0: no snapshots, as c01 runs). With K > 0 the digest also
 covers snapshotting, log truncation and snapshot catch-up, which c01 never
@@ -22,44 +30,101 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
+import statistics
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def main(argv=None) -> None:
+def _seed_runner(src: str, snapshot_every: int):
+    """A function that runs one seed on the `bodega` under `src` and returns
+    the bytes it adds to the digest and its CPU seconds."""
+    sys.path.insert(0, ROOT)
+    sys.path.insert(0, os.path.abspath(src))
+    from bodega.lincheck import check
+    from bodega.sim.harness import run_scenario
+    from tests.support import op_row, random_fault_scenario
+
+    def run(seed: int) -> tuple[bytes, float]:
+        sc = random_fault_scenario(seed)
+        sc.config.snapshot_every = snapshot_every
+        c0 = time.process_time()
+        res = run_scenario(sc, seed=seed, monitors=True)
+        v = check([r.history_row() for r in res.history])
+        cpu = time.process_time() - c0
+        violations = res.violations + ([v.describe()] if v is not None else [])
+        blob = b"".join(op_row(r).encode() + b"\n" for r in res.history)
+        blob += json.dumps(res.metrics, sort_keys=True).encode() + b"\n"
+        blob += json.dumps(violations).encode() + b"\n"
+        return blob, cpu
+
+    return run
+
+
+def _worker(src: str, snapshot_every: int, conn) -> None:
+    """Serve seeds from `conn` until it sends None."""
+    run = _seed_runner(src, snapshot_every)
+    while (seed := conn.recv()) is not None:
+        conn.send(run(seed))
+
+
+def _against(args, seeds: range) -> int:
+    ctx = multiprocessing.get_context("spawn")
+    sides = []
+    for src in (args.src, args.against):
+        parent, child = ctx.Pipe()
+        proc = ctx.Process(target=_worker, args=(src, args.snapshot_every, child))
+        proc.start()
+        sides.append((parent, proc, hashlib.sha256(), []))
+    try:
+        for i, seed in enumerate(seeds):
+            order = sides if i % 2 == 0 else sides[::-1]
+            for conn, _proc, digest, cpus in order:
+                conn.send(seed)
+                blob, cpu = conn.recv()
+                digest.update(blob)
+                cpus.append(cpu)
+    finally:
+        for conn, proc, _digest, _cpus in sides:
+            conn.send(None)
+            proc.join(timeout=60)
+    (_, _, da, ca), (_, _, db, cb) = sides
+    out = {"seeds": f"{seeds.start}-{seeds.stop - 1}",
+           "src": {"path": args.src, "digest": da.hexdigest(), "cpu_s": round(sum(ca), 2)},
+           "against": {"path": args.against, "digest": db.hexdigest(),
+                       "cpu_s": round(sum(cb), 2)},
+           "median_cpu_ratio": round(statistics.median(a / b for a, b in zip(ca, cb)), 4)}
+    print(json.dumps(out))
+    return 0 if da.digest() == db.digest() else 1
+
+
+def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", default=os.path.join(ROOT, "src"))
     p.add_argument("--seeds", default="0-99", help="inclusive range A-B")
     p.add_argument("--snapshot-every", type=int, default=0, metavar="K",
                    help="executed slots per snapshot on every scenario (0: off)")
+    p.add_argument("--against", metavar="OTHER_SRC",
+                   help="time --src against this checkout's src, seed by seed")
     args = p.parse_args(argv)
     lo, hi = (int(x) for x in args.seeds.split("-"))
-    sys.path.insert(0, ROOT)
-    sys.path.insert(0, os.path.abspath(args.src))
-    from bodega.lincheck import check
-    from bodega.sim.harness import run_scenario
-    from tests.support import op_row, random_fault_scenario
-
+    seeds = range(lo, hi + 1)
+    if args.against:
+        return _against(args, seeds)
+    run = _seed_runner(args.src, args.snapshot_every)
     digest = hashlib.sha256()
     cpu = 0.0
-    for seed in range(lo, hi + 1):
-        sc = random_fault_scenario(seed)
-        sc.config.snapshot_every = args.snapshot_every
-        c0 = time.process_time()
-        res = run_scenario(sc, seed=seed, monitors=True)
-        v = check([r.history_row() for r in res.history])
-        cpu += time.process_time() - c0
-        violations = res.violations + ([v.describe()] if v is not None else [])
-        for r in res.history:
-            digest.update(op_row(r).encode() + b"\n")
-        digest.update(json.dumps(res.metrics, sort_keys=True).encode() + b"\n")
-        digest.update(json.dumps(violations).encode() + b"\n")
+    for seed in seeds:
+        blob, c = run(seed)
+        digest.update(blob)
+        cpu += c
     print(json.dumps({"seeds": f"{lo}-{hi}", "digest": digest.hexdigest(),
                       "cpu_s": round(cpu, 2)}))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
