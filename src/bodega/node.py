@@ -334,15 +334,16 @@ class Node:
     def _heartbeat_tick(self, now: int) -> list[Output]:
         renews, replies, out = self.leases.heartbeat_piggyback(now)
         commit_upto = self.log.commit_prefix
+        beats: dict[tuple[bool, bool, bool], Heartbeat] = {}  # peers owed the same content share one
         for p in range(self.cfg.n):
             full = p != self.me and self.peer_view.needs_full(p, self.bal)
-            out.append(Send(p, Heartbeat(
-                self.bal,
-                self.ros if full else None,
-                renew=renews.get(p, False),
-                renew_reply=replies.get(p, False),
-                commit_upto=commit_upto,
-            )))
+            flags = (full, renews.get(p, False), replies.get(p, False))
+            hb = beats.get(flags)
+            if hb is None:
+                hb = beats[flags] = Heartbeat(self.bal, self.ros if full else None,
+                                              renew=flags[1], renew_reply=flags[2],
+                                              commit_upto=commit_upto)
+            out.append(Send(p, hb))
         out += self.leases.revoke_retransmit()
         out += self._retransmit_consensus()
         out.append(ArmTimer(("hb_tick",), now + self.cfg.t_hb_send))
@@ -441,9 +442,10 @@ class Node:
                     targets |= self._responders(key)
                 targets.discard(frm)
                 targets.discard(self.me)
-                note = AcceptNote(msg.bal, msg.slot)
-                for p in sorted(targets):
-                    out.append(Send(p, note))
+                if targets:
+                    note = AcceptNote(msg.bal, msg.slot)
+                    for p in sorted(targets):
+                        out.append(Send(p, note))
         out.append(Send(frm, AcceptReply(msg.bal, msg.slot)))
         return out
 
