@@ -1,7 +1,10 @@
 """Protocol and client message types, and the one codec for them and for
 the core's input events.
 
-Every message is a frozen dataclass. The codec (`to_wire`/`from_wire`) is
+Every message is a plain slots dataclass, as the events are: a message is
+built for every send, and a frozen dataclass costs several times more to
+build. Messages are values all the same, shared by every peer a broadcast
+reaches, and are never mutated. The codec (`to_wire`/`from_wire`) is
 compiled at import from the dataclass annotations: a message or event
 becomes a flat JSON array `[kind_id, field...]`, and decoding checks the
 type of every field. The core's input events (`bodega.events`) are kinds of
@@ -19,53 +22,53 @@ from .events import ClientRequest, Deliver, OperatorRequest, TimerFire
 from .model import Ballot, Command, Roster
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Msg:
     pass
 
 
 # ---------------------------------------------------------------- lease msgs
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Guard(Msg):
     bal: Ballot
     thresh: int  # highest slot the sender has ever accepted
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class GuardReply(Msg):
     bal: Ballot
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Renew(Msg):
     bal: Ballot
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RenewReply(Msg):
     bal: Ballot
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Revoke(Msg):
     bal: Ballot
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RevokeReply(Msg):
     bal: Ballot
 
 
 # ------------------------------------------------------------ consensus msgs
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Prepare(Msg):
     bal: Ballot
     from_slot: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PrepareReply(Msg):
     bal: Ballot
     # accepted tail: (slot, accepted ballot, batch, committed?) for slots >= from_slot
@@ -73,27 +76,27 @@ class PrepareReply(Msg):
     higher: Ballot | None = None  # nack: a higher ballot is known
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Accept(Msg):
     bal: Ballot
     slot: int
     batch: tuple[Command, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AcceptReply(Msg):
     bal: Ballot
     slot: int
     higher: Ballot | None = None  # nack: a higher ballot is known
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AcceptNote(Msg):
     bal: Ballot
     slot: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Commit(Msg):
     # the ballot the slots were committed under; receivers whose accepted
     # ballot is older must fetch the batch instead of blindly marking
@@ -101,12 +104,12 @@ class Commit(Msg):
     slots: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CatchUpRequest(Msg):
     slots: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CatchUpReply(Msg):
     # entries: (slot, ballot, batch, committed?)
     entries: tuple[tuple[int, Ballot, tuple[Command, ...], bool], ...]
@@ -118,7 +121,7 @@ class CatchUpReply(Msg):
 
 # ------------------------------------------------------- heartbeat / control
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Heartbeat(Msg):
     bal: Ballot
     roster: Roster | None  # None = lightweight
@@ -127,12 +130,12 @@ class Heartbeat(Msg):
     commit_upto: int = 0  # sender's contiguous committed prefix
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FullRosterRequest(Msg):
     bal: Ballot  # the unknown ballot that prompted the request
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StatsReport(Msg):
     # per-key counters grouped by the clients' preferred server id:
     # (key, preferred site, reads, writes)
@@ -143,7 +146,7 @@ class StatsReport(Msg):
 # (the replies; a client's requests are `events.ClientRequest` and
 # `events.OperatorRequest`)
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClientReadReply(Msg):
     request_id: str
     value: bytes | None  # None = null (key never written)
@@ -151,14 +154,14 @@ class ClientReadReply(Msg):
     roster: Roster | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClientWriteReply(Msg):
     request_id: str
     bal: Ballot | None = None
     roster: Roster | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClientRedirect(Msg):
     request_id: str
     target: int
@@ -166,12 +169,12 @@ class ClientRedirect(Msg):
     roster: Roster | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ClientUnavailable(Msg):
     request_id: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CtlReply(Msg):
     ok: bool
     detail: str = ""
