@@ -403,15 +403,13 @@ class Simulation:
                 f"which executes to {expect!r} (t={t})"
             )
 
-    def _check_monitors(self, node_id: int, node: Node) -> None:
-        """Agreement on executed slots, and at most one stable ballot among
-        the live nodes, after every node event. The stable-ballot set is
-        rebuilt only when this node's entry changes, and whether all live
-        nodes are stable at one ballot can change only then or with a
-        crash, so it is looked at only then."""
-        if self._exec_seen[node_id] < node.log.exec_prefix:
-            self._check_agreement(node_id, node.log)
-        sb = node.bal if node.is_stable() else None
+    def _check_stability(self, node_id: int, sb: Ballot | None) -> None:
+        """Record `sb`, the ballot node `node_id` is stable at after its
+        latest event (None: not stable), and check that the live nodes are
+        stable at one ballot at most. `run` calls this only when the entry
+        changes, while two stable ballots hold (one violation per event) or
+        when the all-stable instant is due: whether every live node is
+        stable at one ballot can change only with an entry or a crash."""
         if sb is not self._stable_bal.get(node_id):
             if sb is None:
                 del self._stable_bal[node_id]
@@ -542,38 +540,6 @@ class Simulation:
         else:
             self._begin_op(cs, Command("get", ev.key, None, ev.op_id))
 
-    def _host_event(self, kind: str, seq: int, data: tuple) -> None:
-        """An event of the clients, the workload or the fault script."""
-        if kind == "cmsg":
-            cid, msg = data
-            cs = self.clients[cid]
-            if cs.session is not None:
-                self._client_outputs(cs, cs.session.on_msg(msg, self.now))
-        elif kind == "ctimer":
-            cs = self.clients.get(data[0])
-            if cs is not None and self._due(cs.timer, seq, kind, data) and cs.session is not None:
-                self._client_outputs(cs, cs.session.on_timer(self.now))
-        elif kind == "cbegin":
-            cs = self.clients[data[0]]
-            if cs.session is None:
-                cs.ops_done += 1
-                key, value = self._ops.draw(cs.rng, cs.cid, cs.ops_done)
-                self._begin_op(cs, Command("get" if value is None else "put", key, value,
-                                           f"{cs.cid}.{cs.ops_done}"))
-        elif kind == "script_op":
-            self._run_script_op(data[0])
-        elif kind == "crash":
-            if self.alive[data[0]]:
-                self.alive[data[0]] = False
-                self._n_alive -= 1
-            if self._stable_bal.pop(data[0], None) is not None:
-                self._refresh_live_bals()
-            self._all_stable_due = True
-            self._trace(self.now, "crash", {"node": data[0]})
-        elif kind == "part":
-            self.net.set_partition(data[0])
-            self._trace(self.now, "part", {"groups": data[0] and [list(g) for g in data[0]]})
-
     # ----------------------------------------------------------------- loop
 
     def run(self, until: int | None = None) -> SimResult:
@@ -582,6 +548,7 @@ class Simulation:
         trace_on = self.trace_on
         heap, nodes, clocks, alive = self.heap, self.nodes, self.clocks, self.alive
         monitors = self.monitors
+        exec_seen, stable_bal = self._exec_seen, self._stable_bal
         while heap:
             t, seq, kind, data = heapq.heappop(heap)
             if t > t_end:
@@ -611,8 +578,37 @@ class Simulation:
                 node_id, roster = data
                 self._trace(t, "roster_set", {"node": node_id})
                 ev = OperatorRequest("roster_set", "op", roster)
-            else:
-                self._host_event(kind, seq, data)
+            else:  # an event of the clients, the workload or the fault script
+                if kind == "cmsg":
+                    cid, msg = data
+                    cs = self.clients[cid]
+                    if cs.session is not None:
+                        self._client_outputs(cs, cs.session.on_msg(msg, t))
+                elif kind == "ctimer":
+                    cs = self.clients.get(data[0])
+                    if (cs is not None and self._due(cs.timer, seq, kind, data)
+                            and cs.session is not None):
+                        self._client_outputs(cs, cs.session.on_timer(t))
+                elif kind == "cbegin":
+                    cs = self.clients[data[0]]
+                    if cs.session is None:
+                        cs.ops_done += 1
+                        key, value = self._ops.draw(cs.rng, cs.cid, cs.ops_done)
+                        self._begin_op(cs, Command("get" if value is None else "put", key, value,
+                                                   f"{cs.cid}.{cs.ops_done}"))
+                elif kind == "script_op":
+                    self._run_script_op(data[0])
+                elif kind == "crash":
+                    if self.alive[data[0]]:
+                        self.alive[data[0]] = False
+                        self._n_alive -= 1
+                    if self._stable_bal.pop(data[0], None) is not None:
+                        self._refresh_live_bals()
+                    self._all_stable_due = True
+                    self._trace(t, "crash", {"node": data[0]})
+                elif kind == "part":
+                    self.net.set_partition(data[0])
+                    self._trace(t, "part", {"groups": data[0] and [list(g) for g in data[0]]})
                 continue
             if not alive[node_id]:
                 continue
@@ -620,8 +616,13 @@ class Simulation:
             outs = node.handle(ev, c.skew + t + int(c.rate * t))  # `ClockModel.local`
             if outs:
                 self._apply_outputs(node_id, outs)
-            if monitors:
-                self._check_monitors(node_id, node)
+            if monitors:  # agreement, and at most one stable ballot among the live nodes
+                if exec_seen[node_id] < node.log.exec_prefix:
+                    self._check_agreement(node_id, node.log)
+                sb = node.bal if node.is_stable() else None
+                if (sb is not stable_bal.get(node_id) or len(self._live_bals) > 1
+                        or self._all_stable_due):
+                    self._check_stability(node_id, sb)
         # flush ops still in flight as timeouts
         for cs in self.clients.values():
             if cs.session is not None:
