@@ -554,7 +554,8 @@ class Simulation:
             if t > t_end:
                 break
             self.now = t
-            # a node event builds its event here and shares the tail below
+            # a node event builds its event and goes on to the shared tail below
+            ev = None
             if kind == "nmsg":
                 node_id, frm, msg = data
                 if trace_on:
@@ -574,43 +575,41 @@ class Simulation:
                 if trace_on:
                     self._trace(t, "creq", {"node": node_id, "client": ev.client,
                                             "rid": ev.cmd.request_id, "op": ev.cmd.kind})
+            elif kind == "cmsg":
+                cid, msg = data
+                cs = self.clients[cid]
+                if cs.session is not None:
+                    self._client_outputs(cs, cs.session.on_msg(msg, self.now))
+            elif kind == "ctimer":
+                cs = self.clients.get(data[0])
+                if cs is None or not self._due(cs.timer, seq, kind, data) or cs.session is None:
+                    continue
+                self._client_outputs(cs, cs.session.on_timer(self.now))
+            elif kind == "cbegin":
+                cs = self.clients[data[0]]
+                if cs.session is None:
+                    cs.ops_done += 1
+                    key, value = self._ops.draw(cs.rng, cs.cid, cs.ops_done)
+                    self._begin_op(cs, Command("get" if value is None else "put", key, value,
+                                               f"{cs.cid}.{cs.ops_done}"))
+            elif kind == "script_op":
+                self._run_script_op(data[0])
+            elif kind == "crash":
+                if self.alive[data[0]]:
+                    self.alive[data[0]] = False
+                    self._n_alive -= 1
+                if self._stable_bal.pop(data[0], None) is not None:
+                    self._refresh_live_bals()
+                self._all_stable_due = True
+                self._trace(t, "crash", {"node": data[0]})
+            elif kind == "part":
+                self.net.set_partition(data[0])
+                self._trace(t, "part", {"groups": data[0] and [list(g) for g in data[0]]})
             elif kind == "roster_set":
                 node_id, roster = data
                 self._trace(t, "roster_set", {"node": node_id})
                 ev = OperatorRequest("roster_set", "op", roster)
-            else:  # an event of the clients, the workload or the fault script
-                if kind == "cmsg":
-                    cid, msg = data
-                    cs = self.clients[cid]
-                    if cs.session is not None:
-                        self._client_outputs(cs, cs.session.on_msg(msg, t))
-                elif kind == "ctimer":
-                    cs = self.clients.get(data[0])
-                    if (cs is not None and self._due(cs.timer, seq, kind, data)
-                            and cs.session is not None):
-                        self._client_outputs(cs, cs.session.on_timer(t))
-                elif kind == "cbegin":
-                    cs = self.clients[data[0]]
-                    if cs.session is None:
-                        cs.ops_done += 1
-                        key, value = self._ops.draw(cs.rng, cs.cid, cs.ops_done)
-                        self._begin_op(cs, Command("get" if value is None else "put", key, value,
-                                                   f"{cs.cid}.{cs.ops_done}"))
-                elif kind == "script_op":
-                    self._run_script_op(data[0])
-                elif kind == "crash":
-                    if self.alive[data[0]]:
-                        self.alive[data[0]] = False
-                        self._n_alive -= 1
-                    if self._stable_bal.pop(data[0], None) is not None:
-                        self._refresh_live_bals()
-                    self._all_stable_due = True
-                    self._trace(t, "crash", {"node": data[0]})
-                elif kind == "part":
-                    self.net.set_partition(data[0])
-                    self._trace(t, "part", {"groups": data[0] and [list(g) for g in data[0]]})
-                continue
-            if not alive[node_id]:
+            if ev is None or not alive[node_id]:
                 continue
             node, c = nodes[node_id], clocks[node_id]
             outs = node.handle(ev, c.skew + t + int(c.rate * t))  # `ClockModel.local`
