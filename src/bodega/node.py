@@ -717,17 +717,18 @@ class Node:
         return s, self._redispatch(held, now)
 
     def _redispatch_pending(self, now: int) -> list[Output]:
-        """Every held read goes through dispatch again. Held reads must never
-        outlive the content they were parked on: this runs after a ballot
-        change (the step-up may supersede any uncommitted slot), and
+        """Every held read goes through dispatch again, once. Held reads must
+        never outlive the content they were parked on: this runs after a
+        ballot change (the step-up may supersede any uncommitted slot), and
         `_record_accept` does the same for a single slot whenever its ballot
-        or batch is replaced (by an Accept, a catch-up reply or a step-up)."""
-        out: list[Output] = []
-        for s in list(self.log.slots.values()):
-            if s.pending_reads:
-                held, s.pending_reads = s.pending_reads, []
-                out += self._redispatch(held, now)
-        return out
+        or batch is replaced (by an Accept, a catch-up reply or a step-up).
+        All are taken off their slots before any is dispatched, so a read
+        that holds again, on a later slot, is not dispatched a second time."""
+        held = []
+        for s in self.log.slots.values():
+            held += s.pending_reads
+            s.pending_reads = []
+        return self._redispatch(held, now)
 
     def _redispatch(self, held: list[tuple[bytes, str, str, bool]],
                     now: int) -> list[Output]:

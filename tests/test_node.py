@@ -1,10 +1,10 @@
 """Node-level tests of the core's own steps, driven through `Node.handle`."""
 import pytest
 
-from bodega.events import Deliver, Send
+from bodega.events import ClientRequest, Deliver, Send
 from bodega.log import SlotStatus
 from bodega.messages import CatchUpReply, CatchUpRequest, Commit, Heartbeat
-from bodega.model import Ballot, ClusterConfig, Command
+from bodega.model import Ballot, ClusterConfig, Command, full_range_roster
 from bodega.node import MAX_CATCHUP_BATCH, Node
 
 B1, B2, B3 = Ballot(1, 0), Ballot(2, 0), Ballot(3, 0)
@@ -56,3 +56,21 @@ def test_snapshot_catchup_ships_the_ids_applied_up_to_its_point():
     assert reply.snap_upto == 3
     assert reply.snap_applied == ("r1", "r2", "r3")
     assert [e[0] for e in reply.entries] == [4]
+
+
+def test_a_read_held_again_on_a_later_slot_is_dispatched_once():
+    """A stable responder re-dispatches the read held on slot 1; slot 2 now
+    holds the key's highest write, so the read holds there, and the same
+    pass must not dispatch it again. (The pass follows a ballot change, so
+    through `handle` the node is not stable in it and no read holds again;
+    this pins the rule for the node state where one would.)"""
+    node = Node(1, ClusterConfig(n=3))
+    node.bal, node.ros = B1, full_range_roster(0, {1})
+    node.leases.endowed.update({0: NOW * 2, 1: NOW * 2})
+    node.log.record_accept(1, B1, (Command("put", b"k", b"a", "w1"),))
+    assert node.is_stable()
+    assert node.handle(ClientRequest("c", Command("get", b"k", None, "c.1")), NOW) == []
+    node.log.record_accept(2, B1, (Command("put", b"k", b"b", "w2"),))
+    assert node._redispatch_pending(NOW) == []
+    assert [len(s.pending_reads) for s in node.log.slots.values()] == [0, 1]
+    assert node.counters["reads_held"] == 2  # once on arrival, once in the pass
