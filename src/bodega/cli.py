@@ -6,7 +6,7 @@ import asyncio
 import json
 import sys
 
-from .lincheck import check_file
+from .lincheck import SearchBudgetExceeded, check, check_file
 from .model import Roster, validate_roster
 from .sim.explore import explore_interleavings
 from .sim.harness import run_scenario
@@ -58,15 +58,8 @@ def sim_main(argv: list[str] | None = None) -> int:
             print("invariant violations:", *res.violations[:5], sep="\n  ")
             rc = 1
         if args.check:
-            from .lincheck import check
-
-            v = check([r.history_row() for r in res.history])
-            if v is None:
-                print("linearizable: yes")
-            else:
-                print("linearizable: NO")
-                print(v.describe())
-                rc = 1
+            verdict = _print_verdict(check, [r.history_row() for r in res.history])
+            rc = rc or verdict
         return rc
 
     muts = frozenset({args.mutant}) if args.mutant else frozenset()
@@ -80,7 +73,17 @@ def lincheck_main(argv: list[str] | None = None) -> int:
                                 description="per-key linearizability verdict over a history file")
     p.add_argument("history", help="JSON-lines history")
     args = p.parse_args(argv)
-    v = check_file(args.history)
+    return _print_verdict(check_file, args.history)
+
+
+def _print_verdict(check_fn, history) -> int:
+    """Print lincheck's verdict on `history`; returns the exit status: 0 for
+    yes, 1 for no, 2 when the search ran out of budget on some key."""
+    try:
+        v = check_fn(history)
+    except SearchBudgetExceeded as e:
+        print(f"linearizable: unknown (search budget exceeded: {e})")
+        return 2
     if v is None:
         print("linearizable: yes")
         return 0

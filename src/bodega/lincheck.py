@@ -1,9 +1,18 @@
 """Per-key linearizability checking over captured histories.
 
 The workload is single-key reads/writes, so the global history decomposes
-into independent register histories. The search is event-order backtracking
-with memoized frontier states; `check_exhaustive` is the brute-force oracle
-used to validate it on small inputs.
+into independent register histories, and each key is decided on its own.
+Op a precedes op b only when a responded strictly before b was invoked;
+equal timestamps count as concurrent.
+
+When every put on a key writes its own non-None value, as every workload
+here does, each read names the one put it saw, and the key is decided from
+its write clusters, or zones, in O(n log n) (`_check_zones`; Gibbons &
+Korach, SIAM J. Comput. 1997). A key that repeats a put value falls back to
+`_check_register`, an event-order backtracking search over memoized
+frontier states whose cost is exponential in the worst case and which
+raises `SearchBudgetExceeded` past a fixed state budget. `check_exhaustive`
+is the brute-force oracle that both are validated against on small inputs.
 
 An operation with no response is possibly-effective: it may be linearized at
 any point after its invocation or dropped entirely.
@@ -11,6 +20,7 @@ any point after its invocation or dropped entirely.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -46,33 +56,25 @@ def parse_history(rows: list[dict]) -> list[HistOp]:
         rid = r.get("request_id", "")
         prev = by_rid.get(rid)
         if prev is None:
-            by_rid[rid] = dict(r)
-        else:
-            # duplicated sends collapse: earliest invoke, earliest success
-            prev["invoke"] = min(prev["invoke"], r["invoke"])
-            if r.get("response") is not None and (
-                prev.get("response") is None or r["response"] < prev["response"]
-            ):
-                prev["response"] = r["response"]
-                prev["value"] = r.get("value")
-                prev["outcome"] = r.get("outcome", "ok")
+            by_rid[rid] = r
+            continue
+        # duplicated sends collapse: earliest invoke, earliest success; the
+        # merge goes into a copy, so the caller's rows stay as they were
+        prev = by_rid[rid] = dict(prev)
+        prev["invoke"] = min(prev["invoke"], r["invoke"])
+        if r.get("response") is not None and (
+            prev.get("response") is None or r["response"] < prev["response"]
+        ):
+            prev["response"] = r["response"]
+            prev["value"] = r.get("value")
+            prev["outcome"] = r.get("outcome", "ok")
     ops = []
     for i, r in enumerate(by_rid.values()):
         invoke = r["invoke"]
-        response = r.get("response")
-        outcome = r.get("outcome", "ok")
-        if outcome != "ok":
-            response = None
+        response = r.get("response") if r.get("outcome", "ok") == "ok" else None
         if response is not None and response < invoke:
             raise HistoryError(f"response before invoke in {r!r}")
-        ops.append(HistOp(
-            opid=i,
-            op=r["op"],
-            key=r["key"],
-            value=r.get("value"),
-            invoke=invoke,
-            response=response,
-        ))
+        ops.append(HistOp(i, r["op"], r["key"], r.get("value"), invoke, response))
     return ops
 
 
@@ -93,15 +95,83 @@ class Violation:
 
 
 def check(rows: list[dict]) -> Violation | None:
-    """None when linearizable; otherwise the first failing key's witness."""
-    ops = parse_history(rows)
+    """None when linearizable; otherwise the first failing key's witness.
+    Raises `SearchBudgetExceeded` when a key needs the search and the search
+    runs out of budget."""
     per_key: dict[str, list[HistOp]] = {}
-    for o in ops:
+    for o in parse_history(rows):
         per_key.setdefault(o.key, []).append(o)
     for key in sorted(per_key):
-        if not _check_register(per_key[key]):
+        if not _linearizable(per_key[key]):
             return Violation(key, _minimize(per_key[key]))
     return None
+
+
+def _linearizable(ops: list[HistOp]) -> bool:
+    """One key's verdict: from its zones when its put values are distinct,
+    by the search otherwise."""
+    verdict = _check_zones(ops)
+    return _check_register(ops) if verdict is None else verdict
+
+
+def _check_zones(ops: list[HistOp]) -> bool | None:
+    """Register linearizability from write clusters, in O(n log n); None
+    when a put value is None or repeats, so that a read does not name the
+    one put it saw.
+
+    Incomplete reads are dropped, and so are incomplete puts that no read
+    returns; an incomplete put that a read returns responds at +inf. A
+    cluster is a put and the reads that return its value; reads of None
+    form the initial cluster, whose put lies at -inf. A read fails if no
+    put wrote its value or if it responded before its put was invoked.
+
+    Each cluster occupies one contiguous block of any linearization. A
+    cluster's zone runs from `lo`, its least response, to `hi`, its
+    greatest invoke; when a's `lo` precedes b's `hi`, a's block comes before
+    b's. The key fails when two forward zones (`lo < hi`) overlap, or when a
+    backward zone `[hi, lo]` lies strictly inside a forward one, since either
+    puts two blocks each before the other; it is linearizable otherwise.
+    """
+    puts: dict[str | None, HistOp] = {}
+    for o in ops:
+        if o.op == "put":
+            if o.value is None or o.value in puts:
+                return None
+            puts[o.value] = o
+    zones: dict[str | None, list] = {}  # value -> [lo, hi]
+    for o in ops:
+        if o.op == "put" or o.response is None:
+            continue
+        v = o.value
+        z = zones.get(v)
+        if v is not None:
+            w = puts.get(v)
+            if w is None or o.response < w.invoke:
+                return False
+            if z is None:
+                z = zones[v] = [w.resp, w.invoke]
+        elif z is None:
+            z = zones[v] = [-INF, -INF]
+        if o.response < z[0]:
+            z[0] = o.response
+        if o.invoke > z[1]:
+            z[1] = o.invoke
+    for v, w in puts.items():
+        if v not in zones and w.response is not None:
+            zones[v] = [w.response, w.invoke]
+    forward = sorted((lo, hi) for lo, hi in zones.values() if lo < hi)
+    for (_, prev_hi), (lo, _) in zip(forward, forward[1:]):
+        if lo < prev_hi:
+            return False
+    # forward zones are now disjoint and sorted, so the one that starts last
+    # before a backward zone's start is the only one that could contain it
+    starts = [lo for lo, _ in forward]
+    for lo, hi in zones.values():
+        if lo >= hi:
+            i = bisect_left(starts, hi) - 1
+            if i >= 0 and lo < forward[i][1]:
+                return False
+    return True
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -192,7 +262,7 @@ def _minimize(ops: list[HistOp]) -> tuple[HistOp, ...]:
             if cur[i].op == "put" and cur[i].complete:
                 continue
             cand = cur[:i] + cur[i + 1 :]
-            if cand and not _check_register(cand):
+            if cand and not _linearizable(cand):
                 cur = cand
                 changed = True
                 break

@@ -1,6 +1,7 @@
 """CLI surfaces: sim run/explore, lincheck, and the file outputs."""
 import json
 
+from bodega import lincheck
 from bodega.cli import ctl_main, lincheck_main, sim_main
 
 
@@ -54,6 +55,21 @@ def test_lincheck_cli_verdicts(tmp_path, capsys):
     assert lincheck_main([str(bad)]) == 1
     out = capsys.readouterr().out
     assert "NO" in out and "no legal linearization" in out
+
+
+def test_lincheck_cli_reports_an_undecided_verdict(tmp_path, capsys, monkeypatch):
+    # A repeated put value sends the key to the search, which may run out
+    # of states; a small budget makes it do so at once.
+    monkeypatch.setattr(lincheck, "_STATE_BUDGET", 10)
+    rows = [{"client": "c", "request_id": f"t{i}", "op": "put", "key": "x", "value": "v",
+             "invoke": i, "response": None, "outcome": "timeout"} for i in range(6)]
+    rows += [{"client": "c", "request_id": f"r{i}", "op": "get", "key": "x", "value": None,
+              "invoke": 10 + 2 * i, "response": 11 + 2 * i, "outcome": "ok"} for i in range(4)]
+    hist = tmp_path / "hist.jsonl"
+    hist.write_text("\n".join(json.dumps(r) for r in rows))
+    assert lincheck_main([str(hist)]) == 2
+    assert capsys.readouterr().out == (
+        "linearizable: unknown (search budget exceeded: 11 states explored)\n")
 
 
 def test_sim_explore_smoke_budgeted(capsys):

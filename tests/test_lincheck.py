@@ -1,6 +1,10 @@
-"""Checker screens: canned good/bad histories, then agreement with the
-exhaustive permutation oracle on small randomized inputs."""
+"""Checker screens: canned good/bad histories, agreement of both per-key
+deciders (zones and the search) with the exhaustive permutation oracle on
+small randomized inputs and with each other on larger ones, and a violation
+the explorer finds in a seeded mutant."""
 import random
+import time
+from itertools import islice
 
 import pytest
 
@@ -11,7 +15,9 @@ from bodega.lincheck import (
     check_exhaustive,
     parse_history,
     _check_register,
+    _check_zones,
 )
+from bodega.sim.explore import _configs, _one_run
 
 
 def row(rid, op, key, value, invoke, response, outcome="ok"):
@@ -89,9 +95,11 @@ def test_duplicate_sends_collapse():
         row("r1", "get", "x", None, 10, None, outcome="timeout"),
         row("r1", "get", "x", None, 12, 15),
     ]
+    before = [dict(r) for r in h]
     ops = parse_history(h)
     assert len(ops) == 1
     assert ops[0].invoke == 10 and ops[0].response == 15
+    assert h == before  # the merge does not write into the caller's rows
 
 
 def test_malformed_history_rejected():
@@ -112,11 +120,14 @@ def test_multi_key_decomposition():
 
 
 def _random_history(rng: random.Random, n_ops: int) -> list[HistOp]:
+    """Puts write distinct values. Timestamps are drawn from a narrow range
+    and durations may be 0, so zero-length ops and ops that share a
+    timestamp are common: both deciders must treat them as concurrent."""
     ops = []
     values = ["1", "2", "3", None]
     for i in range(n_ops):
-        invoke = rng.randrange(0, 30)
-        dur = rng.randrange(1, 10)
+        invoke = rng.randrange(0, 16)
+        dur = rng.randrange(0, 8)
         response = invoke + dur if rng.random() < 0.85 else None
         if rng.random() < 0.5:
             ops.append(HistOp(i, "put", "k", str(i), invoke, response))
@@ -125,16 +136,80 @@ def _random_history(rng: random.Random, n_ops: int) -> list[HistOp]:
     return ops
 
 
-def test_matches_exhaustive_oracle_on_small_histories():
+DECIDERS = {"search": _check_register, "zones": _check_zones}
+
+
+@pytest.mark.parametrize("decide", DECIDERS.values(), ids=DECIDERS.keys())
+def test_matches_exhaustive_oracle_on_small_histories(decide):
     rng = random.Random(7)
-    agree = disagree = 0
+    zero_length = shared = 0
     for trial in range(300):
         ops = _random_history(rng, rng.randrange(2, 7))
-        fast = _check_register(list(ops))
+        fast = decide(list(ops))
         slow = check_exhaustive(list(ops))
         assert fast == slow, (trial, ops)
-        agree += 1
-    assert agree == 300
+        zero_length += any(o.response == o.invoke for o in ops)
+        ends = {o.response for o in ops}
+        shared += any(o.invoke in ends for o in ops)
+    assert zero_length > 30 and shared > 30, (zero_length, shared)
+
+
+def test_zones_match_the_search_on_larger_histories():
+    rng = random.Random(11)
+    verdicts = []
+    for trial in range(5000):
+        ops = _random_history(rng, rng.randrange(6, 16))
+        verdict = _check_zones(list(ops))
+        assert verdict == _check_register(list(ops)), (trial, ops)
+        verdicts.append(verdict)
+    assert 100 < verdicts.count(True) < 4900, verdicts.count(True)
+
+
+def test_a_repeated_put_value_is_decided_by_the_search():
+    h = [
+        row("w1", "put", "x", "1", 0, 5),
+        row("w2", "put", "x", "2", 6, 10),
+        row("w3", "put", "x", "1", 11, 15),
+        row("r1", "get", "x", "1", 16, 20),
+    ]
+    assert _check_zones(parse_history(h)) is None
+    assert check(h) is None
+    v = check(h + [row("r2", "get", "x", "2", 21, 22)])
+    assert v is not None and v.key == "x"
+
+
+def _timed_out_puts(read_none_last: bool) -> list[dict]:
+    """12 puts that time out, 50 reads of the initial value one after the
+    other, a completed put, then a read of one timed-out put's value. The
+    search may linearize any subset of the timed-out puts in any order
+    before each read, so it exceeded its state budget on this history."""
+    h = [row(f"t{i}", "put", "x", f"t{i}", i, None, outcome="timeout") for i in range(12)]
+    h += [row(f"r{i}", "get", "x", None, 100 + 10 * i, 105 + 10 * i) for i in range(50)]
+    h += [row("w", "put", "x", "w", 700, 705), row("rt", "get", "x", "t3", 710, 715)]
+    if read_none_last:
+        h.append(row("rn", "get", "x", None, 720, 725))
+    return h
+
+
+def test_timed_out_puts_do_not_blow_up_the_check():
+    t0 = time.process_time()
+    assert check(_timed_out_puts(read_none_last=False)) is None
+    v = check(_timed_out_puts(read_none_last=True))
+    assert time.process_time() - t0 < 1.0
+    assert v is not None and v.key == "x"
+
+
+def test_explorer_threshold_mutant_violation_is_pinned():
+    """c02's first kill: the config at index 741 under `stable_no_thresh`.
+    The text was recorded before the zone check replaced the search."""
+    cfg = next(islice(_configs(), 741, None))
+    assert cfg.label() == "resp=[] change=True delayed=[1, 4]"
+    assert _one_run(cfg, frozenset({"stable_no_thresh"})) == [
+        "linearizability: key 'x' has no legal linearization; minimal sub-history:\n"
+        "  put(x)='1' invoke=150000 response=191500\n"
+        "  get(x) invoke=250000 response=250500\n"
+        "  put(x)='2' invoke=251500 response=293000"
+    ]
 
 
 def test_long_single_key_history_checks_without_recursion():

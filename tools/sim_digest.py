@@ -7,7 +7,8 @@ Runs `tests.support.random_fault_scenario(seed)` with monitors on, and
 lincheck over its history, for every seed in A-B (default 0-99), as c01
 does. Prints one JSON object: a SHA-256 over every run's history rows
 (every `OpRecord` field), metrics and violations, lincheck's included, and
-the CPU seconds spent running and checking.
+the CPU seconds spent in all: `run_cpu_s` running the simulations and
+`check_cpu_s` in lincheck, and their sum `cpu_s`.
 
 `--src` picks the checkout whose `bodega` is run (default: this one), so
 the same script compares two versions: a change that must keep the
@@ -17,8 +18,10 @@ simulator's behaviour prints the same digest as its parent.
 in its own worker process (two in all), and every seed runs on both sides
 in turn, the side that goes first alternating from seed to seed, so the
 host's drift over a run falls on both sides alike. It prints both digests,
-which must match (the exit status is 1 when they do not), both CPU totals,
-and the median over the seeds of the per-seed CPU ratio `--src` / OTHER.
+which must match (the exit status is 1 when they do not), both sides' CPU
+totals, and the median over the seeds of the per-seed CPU ratio `--src` /
+OTHER: of the whole (`median_cpu_ratio`), of the runs alone
+(`median_run_cpu_ratio`) and of lincheck alone (`median_check_cpu_ratio`).
 
 `--snapshot-every K` sets `config.snapshot_every` on every generated
 scenario (default 0: no snapshots, as c01 runs). With K > 0 the digest also
@@ -41,20 +44,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _seed_runner(src: str, snapshot_every: int):
     """A function that runs one seed on the `bodega` under `src` and returns
-    the bytes it adds to the digest and its CPU seconds."""
+    the bytes it adds to the digest and the CPU seconds of its run and of
+    its check."""
     sys.path.insert(0, ROOT)
     sys.path.insert(0, os.path.abspath(src))
     from bodega.lincheck import check
     from bodega.sim.harness import run_scenario
     from tests.support import op_row, random_fault_scenario
 
-    def run(seed: int) -> tuple[bytes, float]:
+    def run(seed: int) -> tuple[bytes, tuple[float, float]]:
         sc = random_fault_scenario(seed)
         sc.config.snapshot_every = snapshot_every
         c0 = time.process_time()
         res = run_scenario(sc, seed=seed, monitors=True)
+        c1 = time.process_time()
         v = check([r.history_row() for r in res.history])
-        cpu = time.process_time() - c0
+        cpu = (c1 - c0, time.process_time() - c1)
         violations = res.violations + ([v.describe()] if v is not None else [])
         blob = b"".join(op_row(r).encode() + b"\n" for r in res.history)
         blob += json.dumps(res.metrics, sort_keys=True).encode() + b"\n"
@@ -69,6 +74,17 @@ def _worker(src: str, snapshot_every: int, conn) -> None:
     run = _seed_runner(src, snapshot_every)
     while (seed := conn.recv()) is not None:
         conn.send(run(seed))
+
+
+def _cpu(cpus: list[tuple[float, float]]) -> dict[str, float]:
+    """CPU totals over the seeds from their (run, check) seconds."""
+    run, chk = sum(c[0] for c in cpus), sum(c[1] for c in cpus)
+    return {"cpu_s": round(run + chk, 2), "run_cpu_s": round(run, 2),
+            "check_cpu_s": round(chk, 3)}
+
+
+def _median_ratio(a: list[float], b: list[float]) -> float:
+    return round(statistics.median(x / y for x, y in zip(a, b)), 4)
 
 
 def _against(args, seeds: range) -> int:
@@ -93,10 +109,11 @@ def _against(args, seeds: range) -> int:
             proc.join(timeout=60)
     (_, _, da, ca), (_, _, db, cb) = sides
     out = {"seeds": f"{seeds.start}-{seeds.stop - 1}",
-           "src": {"path": args.src, "digest": da.hexdigest(), "cpu_s": round(sum(ca), 2)},
-           "against": {"path": args.against, "digest": db.hexdigest(),
-                       "cpu_s": round(sum(cb), 2)},
-           "median_cpu_ratio": round(statistics.median(a / b for a, b in zip(ca, cb)), 4)}
+           "src": {"path": args.src, "digest": da.hexdigest(), **_cpu(ca)},
+           "against": {"path": args.against, "digest": db.hexdigest(), **_cpu(cb)},
+           "median_cpu_ratio": _median_ratio([sum(c) for c in ca], [sum(c) for c in cb]),
+           "median_run_cpu_ratio": _median_ratio([c[0] for c in ca], [c[0] for c in cb]),
+           "median_check_cpu_ratio": _median_ratio([c[1] for c in ca], [c[1] for c in cb])}
     print(json.dumps(out))
     return 0 if da.digest() == db.digest() else 1
 
@@ -116,13 +133,12 @@ def main(argv=None) -> int:
         return _against(args, seeds)
     run = _seed_runner(args.src, args.snapshot_every)
     digest = hashlib.sha256()
-    cpu = 0.0
+    cpus = []
     for seed in seeds:
         blob, c = run(seed)
         digest.update(blob)
-        cpu += c
-    print(json.dumps({"seeds": f"{lo}-{hi}", "digest": digest.hexdigest(),
-                      "cpu_s": round(cpu, 2)}))
+        cpus.append(c)
+    print(json.dumps({"seeds": f"{lo}-{hi}", "digest": digest.hexdigest(), **_cpu(cpus)}))
     return 0
 
 
