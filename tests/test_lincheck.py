@@ -201,7 +201,8 @@ def test_timed_out_puts_do_not_blow_up_the_check():
 
 def test_explorer_threshold_mutant_violation_is_pinned():
     """c02's first kill: the config at index 741 under `stable_no_thresh`.
-    The text was recorded before the zone check replaced the search."""
+    The text was recorded with the search deciding every key, so the zone
+    check and the minimizer that calls it must give the same witness."""
     cfg = next(islice(_configs(), 741, None))
     assert cfg.label() == "resp=[] change=True delayed=[1, 4]"
     assert _one_run(cfg, frozenset({"stable_no_thresh"})) == [
