@@ -131,20 +131,21 @@ def bench_main(argv: list[str] | None = None) -> int:
     p.add_argument("--csv", help="per-op latency samples CSV")
     p.add_argument("--summary", help="summary JSON")
     p.add_argument("--history", help="history JSON lines (lincheck input)")
+    p.add_argument("--unhold-floor-ms", type=float, default=50.0,
+                   help="least wait for a held read before asking another node")
     args = p.parse_args(argv)
     from .service.bench import bench
-    from .service.config import ConfigError, load_workload
+    from .service.config import ConfigError, load_cluster, load_workload
 
     try:
-        spec = load_workload(args.workload)
-        with open(args.cluster, "r", encoding="utf-8") as f:
-            cluster = json.load(f)
-        addrs = [e["client"] if isinstance(e, dict) else e for e in cluster]
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError) as e:
+        addrs = load_cluster(args.cluster)
+        w = load_workload(args.workload, len(addrs))
+    except (ConfigError, OSError) as e:
         print(f"input invalid: {e}", file=sys.stderr)
         return 2
-    summary = asyncio.run(bench(spec, addrs, seed=args.seed, csv_path=args.csv,
-                                summary_path=args.summary, history_path=args.history))
+    summary = asyncio.run(bench(w, addrs, seed=args.seed, unhold_floor_ms=args.unhold_floor_ms,
+                                csv_path=args.csv, summary_path=args.summary,
+                                history_path=args.history))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

@@ -238,31 +238,101 @@ class ClusterConfig:
 
 
 class SettingError(ValueError):
-    """A settings dict failed validation; `key` names the offending entry."""
+    """A settings file failed validation. `key` names the offending entry
+    as a path from the root, such as "workload.clients[2].site"."""
 
     def __init__(self, key: str, reason: str) -> None:
         self.key = key
         self.reason = reason
-        super().__init__(f"{key}: {reason}")
+        super().__init__(f"{key or '<root>'}: {reason}")
 
 
-def _ms_to_us(v) -> int:
-    return int(round(float(v) * 1000))
+def _rejected(key: str, e: Exception) -> SettingError:
+    """A converter's rejection `e` of the value at `key`: a TypeError or a
+    ValueError, or a SettingError naming a path within the value."""
+    if not isinstance(e, SettingError):
+        return SettingError(key, str(e))
+    return SettingError(key + (e.key if e.key[:1] in ("", "[") else "." + e.key), e.reason)
 
 
-def _flag(v) -> bool:
+def convert(key: str, conv, *args):
+    """conv(*args), a rejection raised as a SettingError under `key`."""
+    try:
+        return conv(*args)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise _rejected(key, e) from None
+
+
+def read_settings(d, table: dict) -> dict:
+    """{field: conv(value)} for each entry of the JSON object `d`, where
+    `table` maps each key a file may give to (field, conv): the one path
+    from a settings file's keys to typed values. Raises SettingError naming
+    an unknown or rejected key, or the root when `d` is not an object."""
+    if type(d) is not dict:
+        raise SettingError("", "must be a JSON object")
+    kw = {}
+    for k, v in d.items():
+        if k not in table:
+            raise SettingError(k, "unknown setting")
+        name, conv = table[k]
+        try:
+            kw[name] = conv(v)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise _rejected(k, e) from None
+    return kw
+
+
+def section(table: dict):
+    """Converter of a nested JSON object whose keys `table` lists."""
+    return lambda v: read_settings(v, table)
+
+
+def listed(conv):
+    """Converter of a JSON list whose items `conv` converts."""
+    def read(v) -> list:
+        if type(v) is not list:
+            raise ValueError("must be a list")
+        out = []
+        for i, x in enumerate(v):
+            try:
+                out.append(conv(x))
+            except (TypeError, ValueError, OverflowError) as e:
+                raise _rejected(f"[{i}]", e) from None
+        return out
+    return read
+
+
+def ms_to_us(v) -> int:
+    """A duration in milliseconds, a non-negative number, as microseconds."""
+    if type(v) is int and v >= 0:
+        return v * 1000
+    if type(v) is float and v >= 0:  # NaN fails the test
+        return int(round(v * 1000))
+    raise ValueError("must be a non-negative number")
+
+
+def number(lo: float, hi: float):
+    """Converter of a number in [lo, hi]."""
+    def read(v):
+        if type(v) not in (int, float) or not lo <= v <= hi:
+            raise ValueError(f"must be a number in [{lo}, {hi}]")
+        return v
+    return read
+
+
+def flag(v) -> bool:
     if type(v) is not bool:
         raise ValueError("must be true or false")
     return v
 
 
-def _count(v) -> int:
+def count(v) -> int:
     if type(v) is not int or v < 0:
         raise ValueError("must be a non-negative integer")
     return v
 
 
-def _fraction(v) -> float:
+def fraction(v) -> float:
     if type(v) not in (int, float) or not 0 <= v < 1:
         raise ValueError("must be a number in [0, 1)")
     return v
@@ -270,38 +340,30 @@ def _fraction(v) -> float:
 
 # A cluster's settings as scenario files and node configs spell them:
 # key -> (ClusterConfig field, conversion). Durations are milliseconds there.
+# `guard_ms` is accepted for older files and must equal the lease.
 CLUSTER_KEYS = {
-    "hb_send_ms": ("t_hb_send", _ms_to_us),
-    "hb_fail_ms": ("t_hb_fail", _ms_to_us),
-    "lease_ms": ("t_lease", _ms_to_us),
-    "delta_ms": ("t_delta", _ms_to_us),
-    "batch_ms": ("batch_interval", _ms_to_us),
-    "unhold_floor_ms": ("t_unhold", _ms_to_us),
-    "tune_window_ms": ("tune_window", _ms_to_us),
-    "hb_fail_jitter": ("hb_fail_jitter", _fraction),
-    "snapshot_every": ("snapshot_every", _count),
-    "auto_tune": ("auto_tune", _flag),
-    "early_notes": ("early_accept_notes", _flag),
+    "hb_send_ms": ("t_hb_send", ms_to_us),
+    "hb_fail_ms": ("t_hb_fail", ms_to_us),
+    "lease_ms": ("t_lease", ms_to_us),
+    "delta_ms": ("t_delta", ms_to_us),
+    "batch_ms": ("batch_interval", ms_to_us),
+    "unhold_floor_ms": ("t_unhold", ms_to_us),
+    "tune_window_ms": ("tune_window", ms_to_us),
+    "hb_fail_jitter": ("hb_fail_jitter", fraction),
+    "snapshot_every": ("snapshot_every", count),
+    "auto_tune": ("auto_tune", flag),
+    "early_notes": ("early_accept_notes", flag),
+    "guard_ms": ("guard", ms_to_us),
 }
 
 
 def cluster_config_from_dict(n: int, d: dict) -> ClusterConfig:
-    """ClusterConfig from the keys of CLUSTER_KEYS. `guard_ms` is accepted
-    for older files and must equal the lease. Raises SettingError naming an
-    unknown, ill-typed or inconsistent key, and ValueError when the timers
-    break ClusterConfig's rules."""
-    kw: dict = {}
-    for k, v in d.items():
-        if k == "guard_ms":
-            continue
-        if k not in CLUSTER_KEYS:
-            raise SettingError(k, "unknown setting")
-        name, conv = CLUSTER_KEYS[k]
-        try:
-            kw[name] = conv(v)
-        except (TypeError, ValueError) as e:
-            raise SettingError(k, str(e)) from None
+    """ClusterConfig from the keys of CLUSTER_KEYS. Raises SettingError
+    naming an unknown, ill-typed or inconsistent key, and ValueError when
+    the timers break ClusterConfig's rules."""
+    kw = read_settings(d, CLUSTER_KEYS)
+    guard = kw.pop("guard", None)
     cfg = ClusterConfig(n=n, **kw)
-    if "guard_ms" in d and _ms_to_us(d["guard_ms"]) != cfg.t_lease:
+    if guard is not None and guard != cfg.t_lease:
         raise SettingError("guard_ms", "must equal lease_ms")
     return cfg

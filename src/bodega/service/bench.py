@@ -9,36 +9,36 @@ import asyncio
 import csv
 import json
 import random
-import time
 
-from ..workload import OpGen, latency_summary
+from ..workload import OpGen, Workload, latency_summary
 from .client import KvClient, mono_us
-from .config import WorkloadSpec
 
 
-async def _client_task(cid: str, site: int, addrs: list[str], spec: WorkloadSpec, ops: OpGen,
-                       seed: int, stop_at: int, records: list[dict]) -> None:
-    """Run one client until `stop_at` (monotonic microseconds). Closed loop:
-    the next op starts when the last one ends. Open loop: op k is due at
-    k / rate after the start; one that comes due while the previous op is in
-    flight starts as soon as that op ends, and its invoke and latency count
-    from its due time. No op starts after `stop_at`."""
+async def _client_task(cid: str, site: int, addrs: list[str], w: Workload, ops: OpGen,
+                       seed: int, begin: int, stop_at: int, unhold_floor_ms: float,
+                       records: list[dict]) -> None:
+    """Run one client from `begin` until `stop_at` (monotonic microseconds).
+    Closed loop: the next op starts `w.think` after the last one ends. Open
+    loop: op k is due at k / rate after `begin`; one that comes due while
+    the previous op is in flight starts as soon as that op ends, and its
+    invoke and latency count from its due time. No op starts after
+    `stop_at`."""
     rng = random.Random(seed)
-    cli = KvClient(addrs, site, cid, spec.unhold_floor_ms, spec.op_timeout_s)
-    period = int(1_000_000 / spec.open_rate_per_s) if spec.open_rate_per_s > 0 else 0
-    due = mono_us()
+    cli = KvClient(addrs, site, cid, unhold_floor_ms, w.op_timeout / 1e6)
+    period = int(1_000_000 / w.open_rate_per_s) if w.open_rate_per_s > 0 else 0
+    due = begin
     n = 0
     try:
         while (now := mono_us()) < stop_at and due < stop_at:
             if due > now:
                 await asyncio.sleep((due - now) / 1e6)
-            invoke = due if period else now
-            due = invoke + period
+            invoke = due if period else mono_us()
             n += 1
             key, value = ops.draw(rng, cid, n)
             op = "get" if value is None else "put"
             outcome, got, _lat = await cli.op(op, key, value, request_id=f"{cid}.{n}")
             end = mono_us()
+            due = invoke + period if period else end + w.think
             if op == "get":
                 value = got
             records.append({
@@ -77,26 +77,26 @@ def _summary(records: list[dict], wall_s: float) -> dict:
     }
 
 
-async def bench(spec: WorkloadSpec, client_addrs: list[str], seed: int = 0,
-                csv_path: str | None = None, summary_path: str | None = None,
-                history_path: str | None = None) -> dict:
-    """Run the workload; returns (and optionally writes) the summary."""
-    spec.validate(len(client_addrs))
+async def bench(w: Workload, client_addrs: list[str], seed: int = 0,
+                unhold_floor_ms: float = 50.0, csv_path: str | None = None,
+                summary_path: str | None = None, history_path: str | None = None) -> dict:
+    """Run the workload; returns (and optionally writes) the summary. Its
+    wall time counts from the end of the workload's `start` delay."""
     records: list[dict] = []
-    ops = OpGen(spec.keys, spec.key_len, spec.value_len, spec.write_ratio, spec.zipf_theta)
-    stop_at = mono_us() + int(spec.duration_s * 1_000_000)
+    ops = OpGen(w.keys, w.key_len, w.value_len, w.write_ratio, w.zipf_theta)
+    begin = mono_us() + w.start
+    stop_at = begin + w.duration
     tasks = []
     idx = 0
-    for site, count in spec.clients:
+    for site, count in w.clients:
         for _ in range(count):
             cid = f"b{site}.{idx}"
             idx += 1
             tasks.append(asyncio.create_task(
-                _client_task(cid, site, client_addrs, spec, ops, seed * 1009 + idx,
-                             stop_at, records)))
-    t0 = time.monotonic()
+                _client_task(cid, site, client_addrs, w, ops, seed * 1009 + idx,
+                             begin, stop_at, unhold_floor_ms, records)))
     await asyncio.gather(*tasks)
-    wall = time.monotonic() - t0
+    wall = max(0, mono_us() - begin) / 1e6
     summary = _summary(records, wall)
     if csv_path:
         with open(csv_path, "w", newline="", encoding="utf-8") as f:

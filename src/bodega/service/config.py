@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..model import ClusterConfig, Roster, SettingError, cluster_config_from_dict, validate_roster
-from ..workload import parse_distribution_mode
+from ..model import (
+    ClusterConfig, Roster, SettingError, cluster_config_from_dict, convert, count, flag, listed,
+    read_settings, validate_roster,
+)
+from ..workload import Workload, workload_from_dict
 
 
 class ConfigError(ValueError):
@@ -40,101 +43,85 @@ class NodeConfig:
         return len(self.peers)
 
 
+def _address(v) -> str:
+    if type(v) is not str:
+        raise ValueError("must be a host:port string")
+    PeerAddr.parse(v)
+    return v
+
+
+_PEER_KEYS = {"peer": ("peer", _address), "client": ("client", _address)}
+
+
+def _peer(v) -> PeerAddr:
+    kw = read_settings(v, _PEER_KEYS)
+    if len(kw) != 2:
+        raise ValueError("needs 'peer' and 'client' addresses")
+    return PeerAddr(**kw)
+
+
+# A node config file's keys -> (NodeConfig field, conversion); `timers`
+# takes the keys of model.CLUSTER_KEYS.
+_NODE_KEYS = {
+    "id": ("node_id", count),
+    "peers": ("peers", listed(_peer)),
+    "timers": ("cluster", lambda v: v),
+    "seed": ("seed", count),
+    "initial_roster": ("initial_roster", lambda v: None if v is None else Roster.from_wire(v)),
+    "announce": ("announce", flag),
+    "record_events": ("record_events", flag),
+}
+
+
 def node_config_from_dict(d: dict) -> NodeConfig:
+    """NodeConfig from a node config file's JSON. Raises ConfigError naming
+    the key path of the first unknown, missing or ill-typed entry."""
     try:
-        node_id = int(d["id"])
-        raw_peers = d["peers"]
-    except KeyError as e:
-        raise ConfigError(f"missing required field {e.args[0]!r}") from None
-    if not isinstance(raw_peers, list) or len(raw_peers) < 3 or len(raw_peers) % 2 == 0:
-        raise ConfigError("peers must list an odd number (>= 3) of nodes, index = node id")
-    peers = []
-    for i, p in enumerate(raw_peers):
-        if "peer" not in p or "client" not in p:
-            raise ConfigError(f"peers[{i}] needs 'peer' and 'client' addresses")
-        PeerAddr.parse(p["peer"])
-        PeerAddr.parse(p["client"])
-        peers.append(PeerAddr(p["peer"], p["client"]))
-    if not (0 <= node_id < len(peers)):
-        raise ConfigError(f"id {node_id} out of range for {len(peers)} peers")
-    try:
-        cluster = cluster_config_from_dict(len(peers), d.get("timers", {}))
-    except ValueError as e:
-        raise ConfigError(f"timers: {e}") from None
-    cfg = NodeConfig(
-        node_id=node_id,
-        peers=peers,
-        cluster=cluster,
-        seed=int(d.get("seed", 0)),
-        record_events=bool(d.get("record_events", False)),
-        announce=bool(d.get("announce", False)),
-    )
-    if "initial_roster" in d and d["initial_roster"] is not None:
+        kw = read_settings(d, _NODE_KEYS)
+        peers = kw.get("peers")
+        if peers is None or len(peers) < 3 or len(peers) % 2 == 0:
+            raise SettingError("peers", "must list an odd number (>= 3) of nodes, index = node id")
+        n = len(peers)
+        if kw.get("node_id", n) >= n:
+            raise SettingError("id", f"required, in [0, {n})")
+        kw["cluster"] = convert("timers", cluster_config_from_dict, n, kw.get("cluster", {}))
+        bad = kw.get("initial_roster") and validate_roster(kw["initial_roster"], n)
+        if bad:
+            raise SettingError(f"initial_roster.{bad.field}", bad.reason)
+    except SettingError as e:
+        raise ConfigError(str(e)) from None
+    return NodeConfig(**kw)
+
+
+def _load(path: str):
+    with open(path, "r", encoding="utf-8") as f:
         try:
-            ros = Roster.from_wire(d["initial_roster"])
-        except ValueError as e:
-            raise ConfigError(f"initial_roster: {e}") from None
-        bad = validate_roster(ros, cfg.n)
-        if bad is not None:
-            raise ConfigError(f"initial_roster.{bad.field}: {bad.reason}")
-        cfg.initial_roster = ros
-    return cfg
+            return json.load(f)
+        except ValueError as e:  # not UTF-8, or not JSON
+            raise ConfigError(f"invalid JSON in {path}: {e}") from None
 
 
 def load_node_config(path: str) -> NodeConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            d = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"invalid JSON in {path}: {e}") from None
-    return node_config_from_dict(d)
+    return node_config_from_dict(_load(path))
 
 
-@dataclass(slots=True)
-class WorkloadSpec:
-    keys: int = 1000
-    key_len: int = 8
-    value_len: int = 128
-    write_ratio: float = 0.05
-    zipf_theta: float = 0.0  # 0 = uniform
-    clients: list[tuple[int, int]] = field(default_factory=list)  # (site, count)
-    open_rate_per_s: float = 0.0  # 0 = closed loop
-    duration_s: float = 10.0
-    op_timeout_s: float = 30.0
-    unhold_floor_ms: float = 50.0
-
-    def validate(self, n: int) -> None:
-        if not (0.0 <= self.write_ratio <= 1.0):
-            raise ConfigError("write_ratio must be in [0, 1]")
-        for site, _cnt in self.clients:
-            if not (0 <= site < n):
-                raise ConfigError(f"client site {site} out of range")
+def _client_address(v) -> str:
+    return _peer(v).client if type(v) is dict else _address(v)
 
 
-def workload_from_dict(d: dict) -> WorkloadSpec:
+def load_cluster(path: str) -> list[str]:
+    """The bench's cluster file: each node's client host:port by node id, or
+    the `peers` list of a node config."""
     try:
-        theta, rate = parse_distribution_mode(d)
+        return convert("", listed(_client_address), _load(path))
     except SettingError as e:
         raise ConfigError(str(e)) from None
-    clients = [(int(c["site"]), int(c.get("count", 1))) for c in d.get("clients", [])]
-    return WorkloadSpec(
-        keys=int(d.get("keys", 1000)),
-        key_len=int(d.get("key_len", 8)),
-        value_len=int(d.get("value_len", 128)),
-        write_ratio=float(d.get("write_ratio", 0.05)),
-        zipf_theta=theta,
-        clients=clients,
-        open_rate_per_s=rate,
-        duration_s=float(d.get("duration_s", 10.0)),
-        op_timeout_s=float(d.get("op_timeout_s", 30.0)),
-        unhold_floor_ms=float(d.get("unhold_floor_ms", 50.0)),
-    )
 
 
-def load_workload(path: str) -> WorkloadSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            d = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"invalid JSON in {path}: {e}") from None
-    return workload_from_dict(d)
+def load_workload(path: str, n: int) -> Workload:
+    """The bench's workload file, for a cluster of `n` nodes; it takes the
+    keys of a scenario's `workload` (bodega.workload.WORKLOAD_KEYS)."""
+    try:
+        return workload_from_dict(_load(path), n)
+    except SettingError as e:
+        raise ConfigError(str(e)) from None

@@ -500,11 +500,11 @@ class Simulation:
         w = self.sc.workload
         self._ops = OpGen(w.keys, w.key_len, w.value_len, w.write_ratio, w.zipf_theta)
         idx = 0
-        for grp in w.clients:
-            for _k in range(grp.count):
-                cid = f"w{grp.site}.{idx}"
+        for site, count in w.clients:
+            for _k in range(count):
+                cid = f"w{site}.{idx}"
                 idx += 1
-                self._add_client(cid, grp.site,
+                self._add_client(cid, site,
                                  random.Random((self.seed * 1_000_003) ^ zlib.crc32(cid.encode())),
                                  closed_loop=w.open_rate_per_s <= 0)
                 if w.open_rate_per_s > 0:

@@ -8,8 +8,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from ..model import ClusterConfig, Roster, SettingError, cluster_config_from_dict
-from ..workload import parse_distribution_mode
+from ..model import (
+    ClusterConfig, Roster, SettingError, cluster_config_from_dict, convert, count, fraction, listed,
+    ms_to_us, read_settings, section,
+)
+from ..workload import Workload, workload_from_dict
 
 
 class ScenarioError(ValueError):
@@ -18,31 +21,6 @@ class ScenarioError(ValueError):
     def __init__(self, field_name: str, reason: str) -> None:
         self.field = field_name
         super().__init__(f"{field_name}: {reason}")
-
-
-def _us(ms: float) -> int:
-    return int(round(ms * 1000))
-
-
-@dataclass(slots=True)
-class ClientGroup:
-    site: int
-    count: int
-
-
-@dataclass(slots=True)
-class Workload:
-    start: int = 500_000
-    duration: int = 3_000_000
-    keys: int = 100
-    key_len: int = 8
-    value_len: int = 16
-    write_ratio: float = 0.1
-    clients: list[ClientGroup] = field(default_factory=list)
-    open_rate_per_s: float = 0.0  # 0 = closed loop
-    zipf_theta: float = 0.0  # 0 = uniform
-    think: int = 0
-    op_timeout: int = 30_000_000
 
 
 @dataclass(slots=True)
@@ -88,129 +66,129 @@ class Scenario:
         return self.drift_delta_us / (2.0 * self.drift_window_us)
 
 
-def _require(cond: bool, field_name: str, reason: str) -> None:
-    if not cond:
-        raise ScenarioError(field_name, reason)
+def _text(v) -> str:
+    if type(v) is not str:
+        raise ValueError("must be a string")
+    return v
 
 
-def _roster(v, field_name: str) -> Roster:
-    try:
-        return Roster.from_wire(v)
-    except ValueError as e:
-        raise ScenarioError(field_name, str(e)) from None
+def _bytes(v) -> bytes:
+    return _text(v).encode("latin-1")
+
+
+def _roster_of(table: dict):
+    """Converter of an object that holds a roster's `leader` and `ranges`
+    beside the keys of `table`; the roster is read into field "roster"."""
+    table = dict(table, leader=("leader", lambda v: v), ranges=("ranges", lambda v: v))
+
+    def read(v) -> dict:
+        kw = read_settings(v, table)
+        kw["roster"] = Roster.from_wire(kw)
+        kw.pop("leader", None)
+        kw.pop("ranges", None)
+        return kw
+    return read
+
+
+_initial_roster = _roster_of({"announcer": ("initial_announcer", count),
+                              "at_ms": ("initial_at", ms_to_us)})
+_OP_KEYS = {"key": ("key", _bytes), "value": ("value", _bytes), "site": ("site", count),
+            "after": ("after", _text), "id": ("op_id", _text)}
+_EVENT_KEYS = {
+    "at_ms": ("at", ms_to_us),
+    "crash": ("crash", count),
+    "partition": ("partition", section({"groups": ("groups", listed(listed(count))),
+                                        "heal_ms": ("heal_at", ms_to_us)})),
+    "roster_set": ("roster_set", _roster_of({"to_node": ("node", count)})),
+    "write": ("write", section(_OP_KEYS)),
+    "read": ("read", section(_OP_KEYS)),
+}
+# A scenario file's keys -> (Scenario field, conversion); _scenario checks
+# what depends on the node count.
+_SCENARIO_KEYS = {
+    "name": ("name", _text),
+    "nodes": ("n", count),
+    "rtt_ms": ("rtt_us", listed(listed(ms_to_us))),
+    "config": ("config", lambda v: v),
+    "jitter_ms": ("jitter_us", ms_to_us),
+    "drop_prob": ("drop_prob", fraction),
+    "client_local_rtt_ms": ("client_local_rtt_us", ms_to_us),
+    "drift": ("drift", section({"delta_ms": ("drift_delta_us", ms_to_us),
+                                "window_ms": ("drift_window_us", ms_to_us)})),
+    "initial_roster": ("initial", lambda v: None if v is None else _initial_roster(v)),
+    "workload": ("workload", lambda v: v),
+    "events": ("script", listed(section(_EVENT_KEYS))),
+}
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    _require(isinstance(d, dict), "<root>", "scenario must be a JSON object")
-    n = d.get("nodes")
-    _require(isinstance(n, int) and n >= 3 and n % 2 == 1, "nodes", "odd integer >= 3 required")
-    rtt = d.get("rtt_ms")
-    _require(isinstance(rtt, list) and len(rtt) == n, "rtt_ms", f"{n}x{n} matrix required")
-    rtt_us = []
-    for i, row in enumerate(rtt):
-        _require(isinstance(row, list) and len(row) == n, f"rtt_ms[{i}]", f"{n} entries required")
-        rtt_us.append([_us(x) for x in row])
-    for i in range(n):
-        for j in range(n):
-            _require(rtt_us[i][j] == rtt_us[j][i], "rtt_ms", "matrix must be symmetric")
-            _require(rtt_us[i][j] >= 0, "rtt_ms", "delays must be non-negative")
-
-    drop_prob = float(d.get("drop_prob", 0.0))
-    _require(0.0 <= drop_prob < 1.0, "drop_prob", "must be in [0, 1)")
+    """Scenario from a scenario file's JSON. Raises ScenarioError naming
+    the key path of an unknown, missing, ill-typed or out-of-range entry."""
     try:
-        cfg = cluster_config_from_dict(n, d.get("config", {}))
+        return _scenario(d)
     except SettingError as e:
-        raise ScenarioError(f"config.{e.key}", e.reason) from None
-    except ValueError as e:
-        raise ScenarioError("config", str(e)) from None
-    drift = d.get("drift", {})
-    sc = Scenario(
-        name=str(d.get("name", "scenario")),
-        n=n,
-        rtt_us=rtt_us,
-        config=cfg,
-        jitter_us=_us(d.get("jitter_ms", 0.0)),
-        drop_prob=drop_prob,
-        client_local_rtt_us=_us(d.get("client_local_rtt_ms", 0.5)),
-        drift_delta_us=_us(drift.get("delta_ms", 100)),
-        drift_window_us=_us(drift.get("window_ms", 2500)),
-    )
+        raise ScenarioError(e.key or "<root>", e.reason) from None
 
-    init = d.get("initial_roster")
-    if init is not None:
-        sc.initial_roster = _roster(init, "initial_roster")
-        sc.initial_announcer = int(init.get("announcer", 0))
-        sc.initial_at = _us(init.get("at_ms", 10))
-        _require(0 <= sc.initial_announcer < n, "initial_roster.announcer", "node id out of range")
 
-    w = d.get("workload")
-    if w is not None:
-        groups = []
-        for i, g in enumerate(w.get("clients", [])):
-            _require(0 <= int(g["site"]) < n, f"workload.clients[{i}].site", "node id out of range")
-            groups.append(ClientGroup(int(g["site"]), int(g.get("count", 1))))
-        wr = float(w.get("write_ratio", 0.1))
-        _require(0.0 <= wr <= 1.0, "workload.write_ratio", "must be in [0, 1]")
-        try:
-            theta, rate = parse_distribution_mode(w)
-        except SettingError as e:
-            raise ScenarioError(f"workload.{e.key}", e.reason) from None
-        sc.workload = Workload(
-            start=_us(w.get("start_ms", 500)),
-            duration=_us(w.get("duration_ms", 3000)),
-            keys=int(w.get("keys", 100)),
-            key_len=int(w.get("key_len", 8)),
-            value_len=int(w.get("value_len", 16)),
-            write_ratio=wr,
-            clients=groups,
-            open_rate_per_s=rate,
-            zipf_theta=theta,
-            think=_us(w.get("think_ms", 0)),
-            op_timeout=_us(w.get("op_timeout_ms", 30000)),
-        )
+def _node_id(node: int, n: int, key: str) -> int:
+    if node >= n:
+        raise SettingError(key, "node id out of range")
+    return node
 
-    for i, ev in enumerate(d.get("events", [])):
-        at = _us(ev.get("at_ms", 0))
-        if "crash" in ev:
-            node = int(ev["crash"])
-            _require(0 <= node < n, f"events[{i}].crash", "node id out of range")
-            sc.script.append(ScriptEvent(at, "crash", node=node))
-        elif "partition" in ev:
-            p = ev["partition"]
-            groups = tuple(tuple(int(x) for x in g) for g in p["groups"])
-            flat = [x for g in groups for x in g]
-            _require(sorted(flat) == list(range(n)), f"events[{i}].partition.groups",
-                     "groups must partition all node ids")
-            sc.script.append(ScriptEvent(
-                at, "partition", groups=groups, heal_at=_us(p.get("heal_ms", 0))))
-        elif "roster_set" in ev:
-            r = ev["roster_set"]
-            node = int(r.get("to_node", 0))
-            _require(0 <= node < n, f"events[{i}].roster_set.to_node", "node id out of range")
-            sc.script.append(ScriptEvent(
-                at, "roster_set", node=node, roster=_roster(r, f"events[{i}].roster_set")))
-        elif "write" in ev or "read" in ev:
-            body = ev.get("write") or ev.get("read")
-            kind = "write" if "write" in ev else "read"
-            sc.script.append(ScriptEvent(
-                at, kind,
-                key=str(body["key"]).encode("latin-1"),
-                value=str(body.get("value", "")).encode("latin-1"),
-                site=int(body.get("site", 0)),
-                after=str(body.get("after", "")),
-                op_id=str(body.get("id", f"script{i}")),
-            ))
+
+def _scenario(d: dict) -> Scenario:
+    kw = read_settings(d, _SCENARIO_KEYS)
+    n = kw.get("n", 0)
+    if n < 3 or n % 2 == 0:
+        raise SettingError("nodes", "odd integer >= 3 required")
+    rtt = kw.get("rtt_us", ())
+    if len(rtt) != n or any(len(row) != n for row in rtt):
+        raise SettingError("rtt_ms", f"{n}x{n} matrix required")
+    if rtt != [list(col) for col in zip(*rtt)]:
+        raise SettingError("rtt_ms", "matrix must be symmetric")
+    kw["config"] = convert("config", cluster_config_from_dict, n, kw.get("config", {}))
+    kw.update(kw.pop("drift", ()))
+    if kw.get("drift_window_us") == 0:
+        raise SettingError("drift.window_ms", "must be positive")
+    if (init := kw.pop("initial", None)) is not None:
+        kw["initial_roster"] = init.pop("roster")
+        kw.update(init)
+        _node_id(kw.get("initial_announcer", 0), n, "initial_roster.announcer")
+    kw["workload"] = convert("workload", workload_from_dict, kw.get("workload", {}), n)
+    script = []
+    for i, ev in enumerate(kw.pop("script", ())):
+        at = ev.pop("at", 0)
+        if len(ev) != 1:
+            raise SettingError(f"events[{i}]", "needs one of crash, partition, roster_set, "
+                                               "write, read")
+        ((kind, body),) = ev.items()
+        key = f"events[{i}].{kind}"
+        if kind == "crash":
+            script.append(ScriptEvent(at, kind, node=_node_id(body, n, key)))
+        elif kind == "partition":
+            groups = tuple(tuple(g) for g in body.get("groups", ()))
+            if sorted(x for g in groups for x in g) != list(range(n)):
+                raise SettingError(f"{key}.groups", "groups must partition all node ids")
+            script.append(ScriptEvent(at, kind, groups=groups, heal_at=body.get("heal_at", 0)))
+        elif kind == "roster_set":
+            body["node"] = _node_id(body.get("node", 0), n, f"{key}.to_node")
+            script.append(ScriptEvent(at, kind, **body))
         else:
-            raise ScenarioError(f"events[{i}]", "unknown event type")
-    sc.script.sort(key=lambda e: e.at)
-    return sc
+            if "key" not in body:
+                raise SettingError(f"{key}.key", "required")
+            body["site"] = _node_id(body.get("site", 0), n, f"{key}.site")
+            body.setdefault("op_id", f"script{i}")
+            script.append(ScriptEvent(at, kind, **body))
+    script.sort(key=lambda e: e.at)
+    kw.setdefault("name", "scenario")
+    return Scenario(script=script, **kw)
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as f:
         try:
             d = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # not UTF-8, or not JSON
             raise ScenarioError("<file>", f"invalid JSON: {e}") from None
     return scenario_from_dict(d)
 

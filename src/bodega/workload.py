@@ -1,13 +1,14 @@
-"""Workload generation and latency summaries, shared by the simulator's
-clients and the live bench: key names, the zipf key distribution, the
-`distribution` and `mode` fields of workload files, the op generator, and
-the latency summary both report."""
+"""Workloads, shared by the simulator's clients and the live bench: the
+`Workload` spec and its file reader, key names, the zipf key distribution,
+the op generator, and the latency summary both report."""
 from __future__ import annotations
 
 import bisect
+import math
 import random
+from dataclasses import dataclass, field
 
-from .model import SettingError
+from .model import SettingError, count, listed, ms_to_us, number, read_settings
 
 
 def key_name(i: int, key_len: int) -> bytes:
@@ -33,24 +34,76 @@ def zipf_pick(rng: random.Random, cdf: list[float]) -> int:
     return min(bisect.bisect_left(cdf, rng.random()), len(cdf) - 1)
 
 
-def parse_distribution_mode(d: dict) -> tuple[float, float]:
-    """(zipf theta, open-loop rate per second) from a workload dict's
-    `distribution` ("uniform" or {"zipf": theta}) and `mode` ("closed" or
-    {"open_rate_per_s": r}); 0.0 stands for uniform and for closed loop.
-    Raises SettingError naming the field."""
-    dist = d.get("distribution", "uniform")
-    theta = 0.0
-    if isinstance(dist, dict):
-        theta = float(dist.get("zipf", 0.99))
-    elif dist != "uniform":
-        raise SettingError("distribution", "must be 'uniform' or {'zipf': theta}")
-    mode = d.get("mode", "closed")
-    rate = 0.0
-    if isinstance(mode, dict):
-        rate = float(mode.get("open_rate_per_s", 0.0))
-    elif mode != "closed":
-        raise SettingError("mode", "must be 'closed' or {'open_rate_per_s': r}")
-    return theta, rate
+@dataclass(slots=True)
+class Workload:
+    """The clients of a simulation or of a bodega-bench run, and the ops
+    they draw. Microseconds here; files give milliseconds (WORKLOAD_KEYS)."""
+
+    start: int = 500_000  # a client's delay before its first op
+    duration: int = 3_000_000  # no op starts after start + duration
+    keys: int = 100
+    key_len: int = 8
+    value_len: int = 16
+    write_ratio: float = 0.1
+    clients: list[tuple[int, int]] = field(default_factory=list)  # (site, count)
+    open_rate_per_s: float = 0.0  # 0 = closed loop
+    zipf_theta: float = 0.0  # 0 = uniform
+    think: int = 0  # a closed-loop client's pause after each op
+    op_timeout: int = 30_000_000
+
+
+def _choice(word: str, key: str, conv, default: float):
+    """Converter of a setting that is `word`, read as 0.0, or an object
+    {key: number}, read as `default` when the key is absent."""
+    table = {key: (key, conv)}
+
+    def read(v) -> float:
+        if v == word:
+            return 0.0
+        if type(v) is not dict:
+            raise ValueError(f"must be {word!r} or {{{key!r}: number}}")
+        return float(read_settings(v, table).get(key, default))
+    return read
+
+
+_CLIENT_KEYS = {"site": ("site", count), "count": ("count", count)}
+
+
+def _client(v) -> tuple[int, int]:
+    kw = read_settings(v, _CLIENT_KEYS)
+    if "site" not in kw:
+        raise SettingError("site", "required")
+    return kw["site"], kw.get("count", 1)
+
+
+# A workload as scenario files and bodega-bench files spell it:
+# key -> (Workload field, conversion). An open-loop rate is at most 1e6/s,
+# as a client's period is a whole number of microseconds.
+WORKLOAD_KEYS = {
+    "start_ms": ("start", ms_to_us),
+    "duration_ms": ("duration", ms_to_us),
+    "keys": ("keys", count),
+    "key_len": ("key_len", count),
+    "value_len": ("value_len", count),
+    "write_ratio": ("write_ratio", number(0, 1)),
+    "clients": ("clients", listed(_client)),
+    "distribution": ("zipf_theta", _choice("uniform", "zipf", number(0, math.inf), 0.99)),
+    "mode": ("open_rate_per_s", _choice("closed", "open_rate_per_s", number(0, 1e6), 0.0)),
+    "think_ms": ("think", ms_to_us),
+    "op_timeout_ms": ("op_timeout", ms_to_us),
+}
+
+
+def workload_from_dict(d: dict, n: int) -> Workload:
+    """Workload from the keys of WORKLOAD_KEYS, for a cluster of `n` nodes.
+    Raises SettingError naming an unknown, ill-typed or out-of-range key."""
+    w = Workload(**read_settings(d, WORKLOAD_KEYS))
+    if w.keys == 0:
+        raise SettingError("keys", "must be at least 1")
+    for i, (site, _count) in enumerate(w.clients):
+        if site >= n:
+            raise SettingError(f"clients[{i}].site", f"node id {site} not in [0, {n})")
+    return w
 
 
 class OpGen:

@@ -80,3 +80,31 @@ def geo_scenario(write_ratio: float, duration_ms: int = 4000,
                      "clients": [{"site": s, "count": clients_per_site} for s in range(5)],
                      "op_timeout_ms": 8000},
     })
+
+
+DROP = object()  # as a value for `with_entry`: remove the entry
+
+
+def with_entry(d, path: tuple, value):
+    """A deep copy of the JSON value `d` with the entry at `path` (object
+    keys and list indices) set to `value`, or removed when it is DROP."""
+    out = json.loads(json.dumps(d))
+    *up, last = path
+    parent = out
+    for k in up:
+        parent = parent[k]
+    if value is DROP:
+        del parent[last]
+    else:
+        parent[last] = value
+    return out
+
+
+def entry_paths(d, path: tuple = ()) -> list[tuple]:
+    """The path of every object entry and list item inside the JSON value `d`."""
+    items = d.items() if isinstance(d, dict) else enumerate(d) if isinstance(d, list) else ()
+    out = []
+    for k, v in items:
+        out.append(path + (k,))
+        out += entry_paths(v, path + (k,))
+    return out

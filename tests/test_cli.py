@@ -2,7 +2,7 @@
 import json
 
 from bodega import lincheck
-from bodega.cli import ctl_main, lincheck_main, sim_main
+from bodega.cli import bench_main, bodegad_main, ctl_main, lincheck_main, sim_main
 
 
 def test_sim_run_writes_outputs(tmp_path, capsys):
@@ -28,6 +28,34 @@ def test_sim_run_rejects_bad_scenario(tmp_path, capsys):
     rc = sim_main(["run", str(bad)])
     assert rc == 2
     assert "nodes" in capsys.readouterr().err
+
+
+def test_malformed_settings_files_exit_2_naming_the_key(tmp_path, capsys):
+    """sim run, bodegad and bodega-bench print `<file kind> invalid: <key
+    path>: <reason>` for a malformed file and exit 2, with no traceback. The
+    bench reads its cluster file before its workload file."""
+    scenario = json.loads(open("scenarios/geo5.json").read())
+    del scenario["workload"]["clients"][0]["site"]
+    node = {"id": 0, "peers": [{"peer": "127.0.0.1:1", "client": "127.0.0.1:2"}] * 3,
+            "announce": "false"}
+    files = {}
+    for name, doc in [("scenario", scenario), ("node", node), ("workload", {"clients": 3}),
+                      ("cluster", ["127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"]),
+                      ("bad_cluster", ["127.0.0.1:1", 2, "127.0.0.1:3"])]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    for main, argv, err in [
+        (sim_main, ["run", str(files["scenario"])],
+         "scenario invalid: workload.clients[0].site: required\n"),
+        (bodegad_main, ["--config", str(files["node"])],
+         "config invalid: announce: must be true or false\n"),
+        (bench_main, ["--workload", str(files["workload"]), "--cluster", str(files["cluster"])],
+         "input invalid: clients: must be a list\n"),
+        (bench_main, ["--workload", str(files["node"]), "--cluster", str(files["bad_cluster"])],
+         "input invalid: [1]: must be a host:port string\n"),
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
 
 
 def test_ctl_roster_set_rejects_an_ill_typed_roster_file(tmp_path, capsys):

@@ -16,11 +16,12 @@ from bodega.messages import (
 )
 from bodega.model import Ballot, Command, full_range_roster
 from bodega.service.bench import bench
-from bodega.service.config import ConfigError, WorkloadSpec, node_config_from_dict
+from bodega.service.config import ConfigError, node_config_from_dict
 from bodega.service import daemon as daemon_mod
 from bodega.service.daemon import Daemon, replay_digest
 from bodega.service.client import KvClient, ctl_request
 from bodega.service.wire import FrameReader, WireError, decode_body, encode
+from bodega.workload import Workload
 
 
 def free_ports(k):
@@ -650,9 +651,8 @@ def test_bench_against_a_live_cluster(tmp_path, rate):
     """bodega-bench's driver: a linearizable history, a summary that counts
     its records, and an open loop that issues at most rate x duration + 1
     ops per client whatever the cluster's speed."""
-    spec = WorkloadSpec(keys=8, key_len=4, value_len=16, write_ratio=0.3,
-                        clients=[(1, 1), (2, 1)], open_rate_per_s=rate,
-                        duration_s=1.0, op_timeout_s=5.0)
+    w = Workload(start=0, duration=1_000_000, keys=8, key_len=4, value_len=16, write_ratio=0.3,
+                 clients=[(1, 1), (2, 1)], open_rate_per_s=rate, op_timeout=5_000_000)
 
     async def main():
         cfgs = cluster_configs(3)
@@ -662,7 +662,7 @@ def test_bench_against_a_live_cluster(tmp_path, rate):
             rep = await ctl_request(addrs[0], "roster_set", full_range_roster(0, {1, 2}))
             assert rep.ok
             await _until_ready(daemons, rep.bal)
-            return await bench(spec, addrs, seed=3, csv_path=str(tmp_path / "ops.csv"),
+            return await bench(w, addrs, seed=3, csv_path=str(tmp_path / "ops.csv"),
                                history_path=str(tmp_path / "hist.jsonl"))
         finally:
             await _stop_cluster(daemons)
@@ -680,7 +680,7 @@ def test_bench_against_a_live_cluster(tmp_path, rate):
     per_client = {c: sum(r["client"] == c for r in rows) for c in {r["client"] for r in rows}}
     assert len(per_client) == 2
     if rate:
-        assert all(k <= rate * spec.duration_s + 1 for k in per_client.values()), per_client
+        assert all(k <= rate * w.duration / 1e6 + 1 for k in per_client.values()), per_client
         # ops are invoked on the schedule, not a pause after the last reply
         for c in per_client:
             invokes = [r["invoke"] for r in rows if r["client"] == c]
@@ -712,3 +712,12 @@ def test_node_config_validation():
         "peers": [{"peer": "127.0.0.1:1", "client": "127.0.0.1:2"}] * 5,
     })
     assert cfg.n == 5 and cfg.cluster.majority == 3
+    # a flag that is not a JSON boolean, an ill-typed id, peer entry or
+    # timers block, and a root that is not an object, each named
+    good = {"id": 0, "peers": [{"peer": "h:1", "client": "h:2"}] * 3}
+    for key, value in [("announce", "false"), ("record_events", "no"), ("id", "a"),
+                       ("peers", ["peer=h:1 client=h:2"] * 3), ("timers", 5)]:
+        with pytest.raises(ConfigError, match=key):
+            node_config_from_dict(dict(good, **{key: value}))
+    with pytest.raises(ConfigError, match="<root>"):
+        node_config_from_dict([good])

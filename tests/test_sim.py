@@ -18,7 +18,7 @@ from bodega.sim.scenario import (
     scenario_from_dict,
 )
 
-from .support import geo_scenario, op_row, random_fault_scenario
+from .support import DROP, geo_scenario, op_row, random_fault_scenario, with_entry
 
 SYM20 = {
     "name": "sym20",
@@ -136,6 +136,24 @@ def test_scenario_validation_errors_name_field():
     with pytest.raises(ScenarioError) as e:
         scenario_from_dict(bad)
     assert e.value.field == "initial_roster"
+
+    # ill-typed, missing or out-of-range entries, each named by its path
+    for path, value, field in [
+        (("workload", "clients", 0, "site"), DROP, "workload.clients[0].site"),
+        (("workload", "keys"), "many", "workload.keys"),
+        (("workload", "keys"), 0, "workload.keys"),
+        (("workload", "clients", 0, "count"), -3, "workload.clients[0].count"),
+        (("events",), [{"at_ms": 10, "crash": "x"}], "events[0].crash"),
+        (("events",), [{"at_ms": 10, "partition": {"heal_ms": 20}}], "events[0].partition.groups"),
+        (("drift",), 5, "drift"),
+        (("rtt_ms", 0, 1), "a", "rtt_ms[0][1]"),
+        (("rtt_ms",), [[True if {i, j} == {0, 1} else 20 * (i != j) for j in range(5)]
+                       for i in range(5)], "rtt_ms[0][1]"),
+        (("config",), {"hb_send_ms": "45"}, "config.hb_send_ms"),
+    ]:
+        with pytest.raises(ScenarioError) as e:
+            scenario_from_dict(with_entry(SYM20, path, value))
+        assert e.value.field == field, (path, value)
 
 
 def test_scenario_config_and_node_timers_parse_alike():
