@@ -35,7 +35,7 @@ def sim_main(argv: list[str] | None = None) -> int:
     if args.cmd == "run":
         try:
             sc = load_scenario(args.scenario)
-        except ScenarioError as e:
+        except (ScenarioError, OSError) as e:  # malformed, or unreadable
             print(f"scenario invalid: {e}", file=sys.stderr)
             return 2
         res = run_scenario(sc, args.seed, trace=bool(args.trace), monitors=True)
@@ -101,7 +101,7 @@ def bodegad_main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_node_config(args.config)
-    except ConfigError as e:
+    except (ConfigError, OSError) as e:  # malformed, or unreadable
         print(f"config invalid: {e}", file=sys.stderr)
         return 2
 

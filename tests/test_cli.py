@@ -32,8 +32,9 @@ def test_sim_run_rejects_bad_scenario(tmp_path, capsys):
 
 def test_malformed_settings_files_exit_2_naming_the_key(tmp_path, capsys):
     """sim run, bodegad and bodega-bench print `<file kind> invalid: <key
-    path>: <reason>` for a malformed file and exit 2, with no traceback. The
-    bench reads its cluster file before its workload file."""
+    path>: <reason>` for a malformed file and exit 2, with no traceback, as
+    they do for a missing one. The bench reads its cluster file before its
+    workload file."""
     scenario = json.loads(open("scenarios/geo5.json").read())
     del scenario["workload"]["clients"][0]["site"]
     node = {"id": 0, "peers": [{"peer": "127.0.0.1:1", "client": "127.0.0.1:2"}] * 3,
@@ -56,6 +57,12 @@ def test_malformed_settings_files_exit_2_naming_the_key(tmp_path, capsys):
     ]:
         assert main(argv) == 2
         assert capsys.readouterr().err == err
+    missing = str(tmp_path / "missing.json")
+    for main, argv, kind in [(sim_main, ["run", missing], "scenario"),
+                             (bodegad_main, ["--config", missing], "config"),
+                             (bench_main, ["--workload", missing, "--cluster", missing], "input")]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"{kind} invalid: [Errno 2]")
 
 
 def test_ctl_roster_set_rejects_an_ill_typed_roster_file(tmp_path, capsys):
