@@ -46,8 +46,7 @@ class TimerFire(Event):
 
 @dataclass(slots=True)
 class ClientRequest(Event):
-    client: str
-    cmd: Command
+    cmd: Command  # names its client, whom the replies go to
     preferred: int = -1  # the client's preferred nearby server id
     want_roster: bool = False
     fresh: bool = True  # False on redirect-follows and reissues (stats dedup)

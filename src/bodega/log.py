@@ -2,10 +2,10 @@
 
 Slots are 1-based and contiguous. Status moves monotonically
 Empty -> Accepted -> Committed -> Executed. A per-key index tracks which slots
-wrote each key so reads can find the highest interfering write quickly, and a
-per-request-id index tracks which slots carry each request, so a retried
-request is never proposed twice and a duplicate that execution will skip is
-recognised without scanning the log.
+wrote each key so reads can find the highest interfering write quickly.
+Write dedup is a session table, client -> highest seq executed (see
+`Command`); a per-client index of the (seq, slot) pairs in unexecuted slots
+finds a logged retry (`has_request`) and a put a later seq may overtake.
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ class LogSlot:
     status: SlotStatus = SlotStatus.ACCEPTED
     accept_replies: set[NodeId] = field(default_factory=set)
     accept_notes: set[NodeId] = field(default_factory=set)
-    # held local reads: (key, client, request_id, want_roster)
-    pending_reads: list[tuple[bytes, str, str, bool]] = field(default_factory=list)
+    # held local reads: (the get, want_roster)
+    pending_reads: list[tuple[Command, bool]] = field(default_factory=list)
     keys: tuple[bytes, ...] = field(init=False)  # distinct keys the batch writes
 
     def __post_init__(self) -> None:
@@ -61,14 +61,14 @@ class ConsensusLog:
     highest_accepted: int = 0  # highest slot index ever accepted
     kv: dict[bytes, bytes] = field(default_factory=dict)
     key_index: dict[bytes, list[int]] = field(default_factory=dict)
-    # request id -> indices of the logged slots carrying it
-    rid_index: dict[str, list[int]] = field(default_factory=dict)
-    applied_ids: set[str] = field(default_factory=set)  # write dedup at execution
+    # client -> (seq, slot index) of each of its commands in an unexecuted slot
+    rid_index: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+    sessions: dict[str, int] = field(default_factory=dict)  # client -> highest seq executed
     # snapshot of everything executed up to snap_upto; slots <= snap_upto are gone
     snap_upto: int = 0
     snap_kv: dict[bytes, bytes] = field(default_factory=dict)
-    # the request ids applied up to snap_upto, as a snapshot catch-up ships them
-    snap_applied: frozenset[str] = frozenset()
+    # the session table as it stood at snap_upto, as a snapshot catch-up ships it
+    snap_sessions: dict[str, int] = field(default_factory=dict)
 
     # ----------------------------------------------------------- acceptance
 
@@ -96,19 +96,13 @@ class ConsensusLog:
 
     def _index(self, s: LogSlot) -> None:
         for cmd in s.batch:
-            if cmd.request_id:
-                self.rid_index.setdefault(cmd.request_id, []).append(s.index)
+            self.rid_index.setdefault(cmd.client, []).append((cmd.seq, s.index))
         for key in s.keys:
             bisect.insort(self.key_index.setdefault(key, []), s.index)
 
     def _unindex(self, s: LogSlot) -> None:
-        for cmd in s.batch:
-            if cmd.request_id:
-                where = self.rid_index.get(cmd.request_id)
-                if where is not None:
-                    where.remove(s.index)
-                    if not where:
-                        del self.rid_index[cmd.request_id]
+        if s.status < SlotStatus.EXECUTED:
+            self._unindex_requests(s)
         for key in s.keys:
             lst = self.key_index.get(key)
             if lst is not None:
@@ -116,23 +110,34 @@ class ConsensusLog:
                 if i < len(lst) and lst[i] == s.index:
                     del lst[i]
 
-    def has_request(self, rid: str) -> bool:
-        """True when `rid` was already applied or sits in some logged slot;
+    def _unindex_requests(self, s: LogSlot) -> None:
+        for cmd in s.batch:
+            where = self.rid_index[cmd.client]
+            where.remove((cmd.seq, s.index))
+            if not where:
+                del self.rid_index[cmd.client]
+
+    def applied(self, cmd: Command) -> bool:
+        """True when `cmd`'s client has had this seq or a later one executed."""
+        return cmd.seq <= self.sessions.get(cmd.client, 0)
+
+    def has_request(self, cmd: Command) -> bool:
+        """True when `cmd` was already applied or sits in some logged slot;
         proposing it again would only add a no-op duplicate."""
-        return rid in self.applied_ids or rid in self.rid_index
+        return self.applied(cmd) or any(q == cmd.seq for q, _ in self.rid_index.get(cmd.client, ()))
 
     def may_be_deduped(self, s: LogSlot, key: bytes) -> bool:
-        """True when a write to `key` in `s` carries a request id that
-        execution may skip: one already applied, or one also logged in
-        another slot. Until `s` executes, its batch then does not settle the
-        key's value."""
-        for cmd in s.batch:
-            if cmd.is_write() and cmd.key == key and cmd.request_id:
-                if cmd.request_id in self.applied_ids:
-                    return True
-                where = self.rid_index.get(cmd.request_id, ())
-                if len(where) > 1 or (where and where[0] != s.index):
-                    return True
+        """True when execution may skip a put to `key` in `s`: it is applied,
+        or a command of its client with a seq at or above its own sits in
+        another slot or ahead of it in this batch. Until `s` executes, its
+        batch then does not settle the key's value."""
+        for i, cmd in enumerate(s.batch):
+            if cmd.is_write() and cmd.key == key and (
+                    self.applied(cmd)
+                    or any(q >= cmd.seq and idx != s.index
+                           for q, idx in self.rid_index.get(cmd.client, ()))
+                    or any(c.client == cmd.client and c.seq >= cmd.seq for c in s.batch[:i])):
+                return True
         return False
 
     # ----------------------------------------------------------- committing
@@ -155,10 +160,10 @@ class ConsensusLog:
 
         Returns the slot index and the commands applied with the value each
         produced (the read result for gets, the stored value for puts).
-        Re-deliveries of an already applied request id are skipped: a retried
-        request that was logged in two slots takes effect in the first one
-        only, and the duplicate is a no-op. Readers must therefore not take a
-        slot's batch as its effect while `may_be_deduped` holds for it.
+        A put already `applied` is skipped (a retry logged twice, or a put
+        its client has overtaken), so readers must not take a slot's batch
+        as its effect while `may_be_deduped` holds for it. A get changes
+        nothing and always executes. Each command raises its client's entry.
         """
         if self.exec_prefix >= self.commit_prefix:
             return None
@@ -166,15 +171,17 @@ class ConsensusLog:
         s = self.slots[idx]
         results: list[tuple[Command, bytes | None]] = []
         for cmd in s.batch:
-            if cmd.request_id and cmd.request_id in self.applied_ids:
-                continue
-            if cmd.request_id:
-                self.applied_ids.add(cmd.request_id)
+            last = self.sessions.get(cmd.client, 0)
             if cmd.is_write():
+                if cmd.seq <= last:
+                    continue
                 self.kv[cmd.key] = cmd.value or b""
                 results.append((cmd, cmd.value))
             else:
                 results.append((cmd, self.read_value(cmd.key)))
+            if cmd.seq > last:
+                self.sessions[cmd.client] = cmd.seq
+        self._unindex_requests(s)
         s.status = SlotStatus.EXECUTED
         self.exec_prefix = idx
         return idx, results
@@ -213,21 +220,24 @@ class ConsensusLog:
         self.snap_kv.update(self.kv)
         self.kv = {}
         self.snap_upto = self.exec_prefix
-        self.snap_applied = frozenset(self.applied_ids)
+        self.snap_sessions = dict(self.sessions)
         for idx in [i for i in self.slots if i <= self.snap_upto]:
             self._unindex(self.slots[idx])
             del self.slots[idx]
         return self.snap_upto
 
-    def install_snapshot(self, upto: int, kv: dict[bytes, bytes], applied: set[str]) -> None:
-        """Adopt a peer's snapshot that is ahead of our executed state."""
+    def install_snapshot(self, upto: int, kv: dict[bytes, bytes], table: dict[str, int]) -> None:
+        """Adopt a peer's snapshot that is ahead of our executed state; its
+        session `table` merges into ours by max."""
         if upto <= self.exec_prefix:
             return
         self.snap_kv = dict(kv)
         self.kv = {}
         self.snap_upto = upto
-        self.applied_ids |= applied
-        self.snap_applied = frozenset(self.applied_ids)
+        for client, seq in table.items():
+            if seq > self.sessions.get(client, 0):
+                self.sessions[client] = seq
+        self.snap_sessions = dict(self.sessions)
         self.commit_prefix = max(self.commit_prefix, upto)
         self.exec_prefix = upto
         for idx in [i for i in self.slots if i <= upto]:

@@ -116,7 +116,7 @@ class CatchUpReply(Msg):
     # snapshot install when the requested range fell below log truncation
     snap_upto: int = 0
     snap_kv: tuple[tuple[bytes, bytes], ...] = ()
-    snap_applied: tuple[str, ...] = ()
+    snap_sessions: tuple[tuple[str, int], ...] = ()
 
 
 # ------------------------------------------------------- heartbeat / control
@@ -144,11 +144,11 @@ class StatsReport(Msg):
 
 # -------------------------------------------------------------- client-facing
 # (the replies; a client's requests are `events.ClientRequest` and
-# `events.OperatorRequest`)
+# `events.OperatorRequest`), each carrying its request's seq
 
 @dataclass(slots=True)
 class ClientReadReply(Msg):
-    request_id: str
+    seq: int
     value: bytes | None  # None = null (key never written)
     bal: Ballot | None = None
     roster: Roster | None = None
@@ -156,14 +156,14 @@ class ClientReadReply(Msg):
 
 @dataclass(slots=True)
 class ClientWriteReply(Msg):
-    request_id: str
+    seq: int
     bal: Ballot | None = None
     roster: Roster | None = None
 
 
 @dataclass(slots=True)
 class ClientRedirect(Msg):
-    request_id: str
+    seq: int
     target: int
     bal: Ballot | None = None
     roster: Roster | None = None
@@ -171,7 +171,7 @@ class ClientRedirect(Msg):
 
 @dataclass(slots=True)
 class ClientUnavailable(Msg):
-    request_id: str
+    seq: int
 
 
 @dataclass(slots=True)

@@ -37,19 +37,23 @@ def next_ballot(current: Ballot, proposer: NodeId) -> Ballot:
 
 @dataclass(frozen=True, slots=True)
 class Command:
-    """A Put or Get, tagged with a globally unique client request id."""
+    """A Put or Get, named (client, seq): a client id names one incarnation
+    of a client, which runs one op at a time with strictly increasing seqs,
+    and a retry keeps its op's seq."""
 
     kind: str  # "put" | "get"
     key: bytes
-    value: bytes | None = None  # puts only
-    request_id: str = ""
+    value: bytes | None  # puts only
+    client: str
+    seq: int
 
     def is_write(self) -> bool:
         return self.kind == "put"
 
     def to_wire(self) -> dict:
         """JSON form; `value` is present only when set (puts)."""
-        d = {"kind": self.kind, "key": self.key.decode("latin-1"), "request_id": self.request_id}
+        d = {"kind": self.kind, "key": self.key.decode("latin-1"),
+             "client": self.client, "seq": self.seq}
         if self.value is not None:
             d["value"] = self.value.decode("latin-1")
         return d
@@ -58,11 +62,11 @@ class Command:
     def from_wire(cls, d) -> "Command":
         """Inverse of to_wire; raises ValueError on anything else."""
         if type(d) is dict:
-            kind, key, v, rid = d.get("kind"), d.get("key"), d.get("value"), d.get("request_id", "")
-            if (type(kind) is str and type(key) is str and type(rid) is str
-                    and (v is None or type(v) is str)):
+            kind, key, v, client, seq = map(d.get, ("kind", "key", "value", "client", "seq"))
+            if (type(kind) is str and type(key) is str and type(client) is str
+                    and type(seq) is int and (v is None or type(v) is str)):
                 return cls(kind, key.encode("latin-1"),
-                           None if v is None else v.encode("latin-1"), rid)
+                           None if v is None else v.encode("latin-1"), client, seq)
         raise ValueError("malformed command")
 
 

@@ -105,8 +105,8 @@ class Node:
         self.next_slot = 1
         self.open_batch: list[Command] = []
         self.batch_armed = False
-        # request_id -> (client, want_roster) awaiting execution at this node
-        self.pending_client_reqs: dict[str, tuple[str, bool]] = {}
+        # (client, seq) -> want_roster of the requests awaiting execution here
+        self.pending_client_reqs: dict[tuple[str, int], bool] = {}
         self.counters: dict[str, int] = {}
         self._resp_cache: dict[bytes, frozenset[NodeId]] = {}
 
@@ -282,19 +282,16 @@ class Node:
         return out
 
     def _drain_batch_as_redirects(self) -> list[Output]:
-        out: list[Output] = []
-        for cmd in self.open_batch:
-            entry = self.pending_client_reqs.pop(cmd.request_id, None)
-            if entry is not None:
-                out.append(self._to_leader(entry[0], cmd.request_id))
+        out: list[Output] = [self._to_leader(cmd) for cmd in self.open_batch
+                             if self.pending_client_reqs.pop((cmd.client, cmd.seq), None) is not None]
         self.open_batch = []
         return out
 
-    def _to_leader(self, client: str, rid: str) -> Reply:
+    def _to_leader(self, cmd: Command) -> Reply:
         """Point a client at the leader, or report none is known."""
         if self.ros.leader is None:
-            return Reply(client, ClientUnavailable(rid))
-        return Reply(client, ClientRedirect(rid, self.ros.leader, self.bal, self.ros))
+            return Reply(cmd.client, ClientUnavailable(cmd.seq))
+        return Reply(cmd.client, ClientRedirect(cmd.seq, self.ros.leader, self.bal, self.ros))
 
     def _on_full_roster_request(self, frm: NodeId, msg: FullRosterRequest,
                                 now: int) -> list[Output]:
@@ -370,30 +367,29 @@ class Node:
     # ------------------------------------------------------------ write path
 
     def _on_client(self, req: ClientRequest, now: int) -> list[Output]:
-        if req.cmd.is_write():
-            return self._on_client_write(req, now)
-        return self._on_client_read(req, now)
-
-    def _on_client_write(self, req: ClientRequest, now: int) -> list[Output]:
-        rid = req.cmd.request_id
-        if not self.is_leader():
-            return [self._to_leader(req.client, rid)]
+        """A write goes to the leader's next batch, a read to dispatch."""
+        cmd = req.cmd
+        write = cmd.is_write()
+        if write and not self.is_leader():
+            return [self._to_leader(cmd)]
         if req.fresh and req.preferred >= 0:
-            self.stats.record(req.cmd.key, req.preferred, True)
-        if rid in self.log.applied_ids:
-            return [Reply(req.client, ClientWriteReply(
-                rid, self.bal, self.ros if req.want_roster else None))]
-        return self._enqueue(req.cmd, req.client, req.want_roster, now)
+            self.stats.record(cmd.key, req.preferred, write)
+        if write:
+            return self._enqueue(cmd, req.want_roster, now)
+        return self._dispatch_read(cmd, req.want_roster, now)
 
-    def _enqueue(self, cmd: Command, client: str, want_roster: bool, now: int) -> list[Output]:
-        """Queue a client command for the next batch. A request already
-        queued or already in the log (a client retry, possibly of a slot the
-        step-up re-proposed) is not proposed again: the reply goes out when
-        the slot holding it executes. If that slot is replaced instead, the
-        client's next retry finds the request in neither place and queues it."""
-        rid = cmd.request_id
-        self.pending_client_reqs[rid] = (client, want_roster)
-        if self.log.has_request(rid) or any(c.request_id == rid for c in self.open_batch):
+    def _enqueue(self, cmd: Command, want_roster: bool, now: int) -> list[Output]:
+        """Queue a client command for the next batch; a retry of one already
+        applied is answered at once. A request already queued or already in
+        the log (a client retry, possibly of a slot the step-up re-proposed)
+        is not proposed again: the reply goes out when the slot holding it
+        executes. If that slot is replaced instead, the client's next retry
+        finds the request in neither place and queues it."""
+        if self.log.applied(cmd):
+            return [self._reply(cmd, self.log.read_value(cmd.key), want_roster)]
+        self.pending_client_reqs[(cmd.client, cmd.seq)] = want_roster
+        if self.log.has_request(cmd) or any(
+                c.seq == cmd.seq and c.client == cmd.client for c in self.open_batch):
             return []
         self.open_batch.append(cmd)
         return self._arm_batch(now)
@@ -408,7 +404,7 @@ class Node:
         if not self.open_batch or not self.leader_ready or not self.is_leader():
             return []
         # a queued request may have entered the log meanwhile (step-up)
-        batch = tuple(c for c in self.open_batch if not self.log.has_request(c.request_id))
+        batch = tuple(c for c in self.open_batch if not self.log.has_request(c))
         self.open_batch = []
         if not batch:
             return []
@@ -527,7 +523,7 @@ class Node:
             tuple(entries),
             snap_upto=self.log.snap_upto if want_snap else 0,
             snap_kv=tuple(sorted(self.log.snap_kv.items())) if want_snap else (),
-            snap_applied=tuple(sorted(self.log.snap_applied)) if want_snap else (),
+            snap_sessions=tuple(sorted(self.log.snap_sessions.items())) if want_snap else (),
         )
         return [Send(frm, reply)]
 
@@ -537,9 +533,7 @@ class Node:
             # reads held on slots the snapshot truncates go through dispatch again
             held = [h for i, s in self.log.slots.items() if i <= msg.snap_upto
                     for h in s.pending_reads]
-            self.log.install_snapshot(
-                msg.snap_upto, dict(msg.snap_kv), set(msg.snap_applied)
-            )
+            self.log.install_snapshot(msg.snap_upto, dict(msg.snap_kv), dict(msg.snap_sessions))
             out += self._redispatch(held, now)
         for idx, bal, batch, committed in msg.entries:
             s = self.log.slots.get(idx)
@@ -560,15 +554,9 @@ class Node:
             idx, results = step
             out += self._settle(self.log.slots[idx])
             for cmd, value in results:
-                entry = self.pending_client_reqs.pop(cmd.request_id, None)
-                if entry is None:
-                    continue
-                client, want = entry
-                if cmd.is_write():
-                    out.append(Reply(client, ClientWriteReply(
-                        cmd.request_id, self.bal, self.ros if want else None)))
-                else:
-                    out.append(self._read_reply(client, cmd.request_id, value, want))
+                want = self.pending_client_reqs.pop((cmd.client, cmd.seq), None)
+                if want is not None:
+                    out.append(self._reply(cmd, value, want))
         if (
             self.cfg.snapshot_every
             and self.log.exec_prefix - self.log.snap_upto >= self.cfg.snapshot_every
@@ -639,46 +627,38 @@ class Node:
 
     # -------------------------------------------------------------- read path
 
-    def _on_client_read(self, req: ClientRequest, now: int) -> list[Output]:
-        if req.fresh and req.preferred >= 0:
-            self.stats.record(req.cmd.key, req.preferred, False)
-        return self._dispatch_read(req.cmd.key, req.client, req.cmd.request_id,
-                                   req.want_roster, now)
-
-    def _dispatch_read(self, key: bytes, client: str, rid: str,
-                       want_roster: bool, now: int) -> list[Output]:
+    def _dispatch_read(self, cmd: Command, want_roster: bool, now: int) -> list[Output]:
         """A stable responder serves or holds the read (`read_at`); any
         other node redirects it to the leader, and the leader takes it
         through the log as if it were a write."""
-        if not self.is_stable() or self.me not in self._responders(key):
+        if not self.is_stable() or self.me not in self._responders(cmd.key):
             if not self.is_leader():
                 if self.ros.leader is not None:
                     self._count("reads_redirected")
-                return [self._to_leader(client, rid)]
+                return [self._to_leader(cmd)]
             self._count("reads_fallback")
-            if rid in self.log.applied_ids:
-                # retried read already executed once; serve its stable outcome
-                return [self._read_reply(client, rid, self.log.read_value(key), want_roster)]
-            return self._enqueue(Command("get", key, None, rid), client, want_roster, now)
-        idx = self.log.highest_write_slot(key)
+            return self._enqueue(cmd, want_roster, now)
+        idx = self.log.highest_write_slot(cmd.key)
         s = self.log.slots.get(idx)
-        value = self._read_at(s, key)
+        value = self._read_at(s, cmd.key)
         if value is HELD:
             self._count("reads_held")
-            s.pending_reads.append((key, client, rid, want_roster))
+            s.pending_reads.append((cmd, want_roster))
             return []
         self._count("reads_local")
-        return [self._read_reply(client, rid, value, want_roster,
-                                 (key, idx or self.log.snap_upto))]
+        return [self._reply(cmd, value, want_roster, (cmd.key, idx or self.log.snap_upto))]
 
     def _read_at(self, s: LogSlot | None, key: bytes) -> object:
         return read_at(s, key, self.log, self.bal, self.ros, self.cfg.majority,
                        self.cfg.early_accept_notes)
 
-    def _read_reply(self, client: str, rid: str, value: bytes | None, want: bool,
-                    served_at: tuple[bytes, int] | None = None) -> Reply:
-        return Reply(client, ClientReadReply(rid, value, self.bal, self.ros if want else None),
-                     served_at)
+    def _reply(self, cmd: Command, value: bytes | None, want: bool,
+               served_at: tuple[bytes, int] | None = None) -> Reply:
+        """A put's acknowledgement, or a get's `value`."""
+        ros = self.ros if want else None
+        if cmd.is_write():
+            return Reply(cmd.client, ClientWriteReply(cmd.seq, self.bal, ros))
+        return Reply(cmd.client, ClientReadReply(cmd.seq, value, self.bal, ros), served_at)
 
     def _settle(self, s: LogSlot) -> list[Output]:
         """Answer the reads held on `s` that `read_at` now serves (after an
@@ -688,13 +668,13 @@ class Node:
         out: list[Output] = []
         keep = []
         for held in s.pending_reads:
-            key, client, rid, want = held
-            value = self._read_at(s, key)
+            cmd, want = held
+            value = self._read_at(s, cmd.key)
             if value is HELD:
                 keep.append(held)
             else:
                 self._count("reads_released")
-                out.append(self._read_reply(client, rid, value, want, (key, s.index)))
+                out.append(self._reply(cmd, value, want, (cmd.key, s.index)))
         s.pending_reads = keep
         return out
 
@@ -730,11 +710,10 @@ class Node:
             s.pending_reads = []
         return self._redispatch(held, now)
 
-    def _redispatch(self, held: list[tuple[bytes, str, str, bool]],
-                    now: int) -> list[Output]:
+    def _redispatch(self, held: list[tuple[Command, bool]], now: int) -> list[Output]:
         out: list[Output] = []
-        for key, client, rid, want in held:
-            out += self._dispatch_read(key, client, rid, want, now)
+        for cmd, want in held:
+            out += self._dispatch_read(cmd, want, now)
         return out
 
     # ------------------------------------------------------------- operator

@@ -51,11 +51,11 @@ def read_at(
     `s` is None when only the snapshot covers the key.
 
     The value served for the anchor slot is always the value execution
-    gives the key at that slot, which skips duplicated request ids: once the
+    gives the key at that slot, which skips puts already applied: once the
     anchor has executed that is the executed state; before, the anchor's
     batch stands for it only if none of its writes to the key may be skipped
-    as a duplicate (`ConsensusLog.may_be_deduped`), and otherwise the read
-    holds until the anchor executes.
+    (`ConsensusLog.may_be_deduped`), and otherwise the read holds until the
+    anchor executes.
 
     Anchoring the leader at its highest accepted slot (rather than its
     committed prefix) keeps leader reads ordered after any value a responder
@@ -159,13 +159,12 @@ class ClientCache:
 class ClientSession:
     """Retry state for one in-flight operation, `cmd`.
 
-    Reads reissue with the same request id after the unhold timeout; writes
-    re-send to the (possibly redirected) leader. The earliest reply wins and
-    later duplicates are ignored.
+    Reads reissue the same command, seq included, after the unhold
+    timeout; writes re-send it to the (possibly redirected) leader. The
+    earliest reply wins and later duplicates are ignored.
     """
 
     cache: ClientCache
-    client: str
     cmd: Command
     started: int
     patience: int = 30_000_000  # give up entirely after this long
@@ -177,8 +176,7 @@ class ClientSession:
         """Contact `target`: the request as the node receives it."""
         self.contacted.append(target)
         cache = self.cache
-        return ClientSend(target, ClientRequest(
-            self.client, self.cmd, cache.site, cache.wants_roster(), fresh))
+        return ClientSend(target, ClientRequest(self.cmd, cache.site, cache.wants_roster(), fresh))
 
     def begin(self) -> list:
         target = (
@@ -197,7 +195,7 @@ class ClientSession:
     def on_timer(self, now: int) -> list:
         """Unhold/progress timer: reissue the same request.
 
-        Writes prefer the cached leader (request-id dedup makes re-sends
+        Writes prefer the cached leader (the log's session table makes re-sends
         harmless); both kinds rotate through the other nodes when the target
         stays silent, which also rediscovers a moved leader.
         """
@@ -224,9 +222,9 @@ class ClientSession:
 
     def on_msg(self, msg, now: int) -> list:
         """Feed one message from a node: one of the four replies, which
-        carry a request id. Anything else, or a reply to another request, is
-        ignored."""
-        if getattr(msg, "request_id", None) != self.cmd.request_id:
+        carry their request's seq. Anything else, or a reply to another of
+        this client's requests, is ignored."""
+        if getattr(msg, "seq", None) != self.cmd.seq:
             return []
         t = type(msg)
         if t is ClientUnavailable:

@@ -2,13 +2,15 @@
 per-client latency samples (CSV), a JSON summary, and a history file the
 linearizability checker can consume. An open-loop client issues its ops on a
 fixed schedule, so a slow op delays the ones behind it and their latencies
-show that wait."""
+show that wait. Client ids are `b<site>.<index>.<run token>`: a client id
+names one incarnation, so no run may reuse another's."""
 from __future__ import annotations
 
 import asyncio
 import csv
 import json
 import random
+import secrets
 
 from ..workload import OpGen, Workload, latency_summary
 from .client import KvClient, mono_us
@@ -28,15 +30,16 @@ async def _client_task(cid: str, site: int, addrs: list[str], w: Workload, ops: 
     period = int(1_000_000 / w.open_rate_per_s) if w.open_rate_per_s > 0 else 0
     due = begin
     n = 0
+    name = cid.partition(".")[2]  # values leave out the site, to stay distinct within value_len
     try:
         while (now := mono_us()) < stop_at and due < stop_at:
             if due > now:
                 await asyncio.sleep((due - now) / 1e6)
             invoke = due if period else mono_us()
             n += 1
-            key, value = ops.draw(rng, cid, n)
+            key, value = ops.draw(rng, name, n)
             op = "get" if value is None else "put"
-            outcome, got, _lat = await cli.op(op, key, value, request_id=f"{cid}.{n}")
+            outcome, got, _lat = await cli.op(op, key, value)  # seq n
             end = mono_us()
             due = invoke + period if period else end + w.think
             if op == "get":
@@ -51,6 +54,9 @@ async def _client_task(cid: str, site: int, addrs: list[str], w: Workload, ops: 
             })
     finally:
         await cli.close()
+
+
+_HISTORY_FIELDS = ("client", "request_id", "op", "key", "value", "invoke", "response", "outcome")
 
 
 def _ok_latencies(rows: list[dict]) -> list[int]:
@@ -88,9 +94,10 @@ async def bench(w: Workload, client_addrs: list[str], seed: int = 0,
     stop_at = begin + w.duration
     tasks = []
     idx = 0
+    run = secrets.token_hex(2)
     for site, count in w.clients:
         for _ in range(count):
-            cid = f"b{site}.{idx}"
+            cid = f"b{site}.{idx}.{run}"
             idx += 1
             tasks.append(asyncio.create_task(
                 _client_task(cid, site, client_addrs, w, ops, seed * 1009 + idx,
@@ -111,10 +118,5 @@ async def bench(w: Workload, client_addrs: list[str], seed: int = 0,
     if history_path:
         with open(history_path, "w", encoding="utf-8") as f:
             for r in records:
-                f.write(json.dumps({
-                    "client": r["client"], "request_id": r["request_id"],
-                    "op": r["op"], "key": r["key"], "value": r["value"] if r["op"] == "put" or r["outcome"] == "ok" else None,
-                    "invoke": r["invoke"], "response": r["response"],
-                    "outcome": r["outcome"],
-                }, sort_keys=True) + "\n")
+                f.write(json.dumps({k: r[k] for k in _HISTORY_FIELDS}, sort_keys=True) + "\n")
     return summary

@@ -19,7 +19,8 @@ def mono_us() -> int:
 
 class KvClient:
     """One logical client near `site`. Thread-unsafe; one op at a time per
-    instance (run several instances for concurrency)."""
+    instance (run several instances for concurrency). No other client or
+    run may share its `cid`, which names one incarnation (see `Command`)."""
 
     def __init__(self, client_addrs: list[str], site: int, cid: str,
                  unhold_floor_ms: float = 50.0, op_timeout_s: float = 30.0) -> None:
@@ -31,7 +32,7 @@ class KvClient:
         self.seq = 0
         self.inbox: asyncio.Queue = asyncio.Queue()
         self._readers: list[asyncio.Task] = []
-        self._op_n = 0
+        self.op_seq = 0  # the seq of the last op
 
     async def close(self) -> None:
         for t in self._readers:
@@ -73,12 +74,19 @@ class KvClient:
 
     async def op(self, op: str, key: bytes, value: bytes | None = None,
                  request_id: str | None = None) -> tuple[str, bytes | None, int]:
-        """Run one op to completion; returns (outcome, value, latency_us)."""
-        self._op_n += 1
-        rid = request_id or f"{self.cid}.{self._op_n}"
-        cmd = Command(op, key, (value or b"") if op == "put" else None, rid)
+        """Run one op to completion; returns (outcome, value, latency_us). Its
+        seq is the last plus 1, or n of a `request_id` "<cid>.<n>" above the
+        last; any other id raises ValueError, as its write would be skipped."""
+        seq = self.op_seq + 1
+        if request_id is not None:
+            cid, _dot, n = request_id.rpartition(".")
+            if cid != self.cid or not (n.isascii() and n.isdigit()) or int(n) < seq:
+                raise ValueError(f"request id {request_id!r} is not {self.cid}.<n>, n >= {seq}")
+            seq = int(n)
+        self.op_seq = seq
+        cmd = Command(op, key, (value or b"") if op == "put" else None, self.cid, seq)
         started = mono_us()
-        sess = ClientSession(self.cache, self.cid, cmd, started, self.patience)
+        sess = ClientSession(self.cache, cmd, started, self.patience)
         outs = sess.begin()
         deadline = started + self.cache.unhold_floor
         while True:

@@ -34,9 +34,6 @@ from .config import NodeConfig, PeerAddr
 from .wire import FrameReader, WireError, encode
 
 
-_CLIENT_REQUESTS = (ClientRequest, OperatorRequest)
-
-
 def mono_us() -> int:
     return time.monotonic_ns() // 1000
 
@@ -176,11 +173,13 @@ class _ClientConn(_Inbound):
     def admit(self, env) -> None:
         # a client speaks only for itself, and only in requests
         msg = env.msg
-        if type(msg) not in _CLIENT_REQUESTS or msg.client != env.frm:
+        t = type(msg)
+        cid = msg.cmd.client if t is ClientRequest else msg.client if t is OperatorRequest else None
+        if cid != env.frm:
             return
-        if msg.client not in self.clients:
-            self.clients.add(msg.client)
-            self.daemon.client_writers[msg.client] = self.transport
+        if cid not in self.clients:
+            self.clients.add(cid)
+            self.daemon.client_writers[cid] = self.transport
         self.daemon._step(msg)
 
     def connection_lost(self, exc) -> None:

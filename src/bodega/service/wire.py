@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ..events import Event
 from ..messages import Msg, WireError, from_wire, to_wire
 
-PROTO_VERSION = 2
+PROTO_VERSION = 3
 MAX_FRAME = 8 * 1024 * 1024
 _LEN = struct.Struct(">I")
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
@@ -50,7 +50,7 @@ def decode_body(body: bytes | bytearray) -> Envelope:
     if end != len(text):
         raise WireError("trailing bytes after the JSON body")
     if type(a) is not list or len(a) < 4 or a[0] != PROTO_VERSION:
-        raise WireError("not a version-2 frame")
+        raise WireError(f"not a version-{PROTO_VERSION} frame")
     frm, seq = a[1], a[2]
     if type(frm) is not str or type(seq) is not int:
         raise WireError("ill-typed envelope")

@@ -435,11 +435,10 @@ class Simulation:
             seen += 1
             s = log.slots.get(seen)
             if s is not None:
-                digest = tuple((c.kind, c.key, c.value, c.request_id) for c in s.batch)
                 prev = self._exec_digests.get(seen)
                 if prev is None:
-                    self._exec_digests[seen] = digest
-                elif prev != digest:
+                    self._exec_digests[seen] = s.batch
+                elif prev != s.batch:
                     self.violations.append(
                         f"agreement: slot {seen} executed differently at node {node_id}"
                     )
@@ -472,21 +471,22 @@ class Simulation:
                         self._push(nxt, "cbegin", cs.cid)
 
     def _begin_op(self, cs: _ClientState, cmd: Command) -> None:
-        cs.session = ClientSession(cs.cache, cs.cid, cmd, self.now, self.sc.workload.op_timeout)
+        cs.session = ClientSession(cs.cache, cmd, self.now, self.sc.workload.op_timeout)
         self._client_outputs(cs, cs.session.begin())
 
     def _end_op(self, cs: _ClientState, outcome: str, value: bytes | None) -> str:
         """Close the client's session and record its op in the history, as
         ending now with `outcome` (and, for a read, `value`). Returns the
-        op's request id."""
+        op's request id: "<cid>.<seq>", or a scripted op's id (its client's)."""
         sess, cs.session = cs.session, None
         cmd = sess.cmd
+        rid = cs.cid if cs.rng is None else f"{cs.cid}.{cmd.seq}"
         self.history.append(OpRecord(
-            client=cs.cid, request_id=cmd.request_id, op=cmd.kind, key=cmd.key,
+            client=cs.cid, request_id=rid, op=cmd.kind, key=cmd.key,
             value=cmd.value if cmd.is_write() else value, invoke=sess.started,
             response=self.now if outcome == "ok" else None, outcome=outcome,
             site=cs.site, contacted=len(set(sess.contacted))))
-        return cmd.request_id
+        return rid
 
     # ---------------------------------------------------------------- setup
 
@@ -535,10 +535,8 @@ class Simulation:
             self.waiting_script.setdefault(ev.after, []).append(ev)
             return
         cs = self.clients.get(ev.op_id) or self._add_client(ev.op_id, ev.site, None, False)
-        if ev.kind == "write":
-            self._begin_op(cs, Command("put", ev.key, ev.value, ev.op_id))
-        else:
-            self._begin_op(cs, Command("get", ev.key, None, ev.op_id))
+        self._begin_op(cs, Command("put", ev.key, ev.value, ev.op_id, 1) if ev.kind == "write"
+                       else Command("get", ev.key, None, ev.op_id, 1))
 
     # ----------------------------------------------------------------- loop
 
@@ -573,8 +571,8 @@ class Simulation:
             elif kind == "creq":
                 node_id, ev = data
                 if trace_on:
-                    self._trace(t, "creq", {"node": node_id, "client": ev.client,
-                                            "rid": ev.cmd.request_id, "op": ev.cmd.kind})
+                    self._trace(t, "creq", {"node": node_id, "client": ev.cmd.client,
+                                            "seq": ev.cmd.seq, "op": ev.cmd.kind})
             elif kind == "cmsg":
                 cid, msg = data
                 cs = self.clients[cid]
@@ -591,7 +589,7 @@ class Simulation:
                     cs.ops_done += 1
                     key, value = self._ops.draw(cs.rng, cs.cid, cs.ops_done)
                     self._begin_op(cs, Command("get" if value is None else "put", key, value,
-                                               f"{cs.cid}.{cs.ops_done}"))
+                                               cs.cid, cs.ops_done))
             elif kind == "script_op":
                 self._run_script_op(data[0])
             elif kind == "crash":
@@ -702,8 +700,8 @@ def inject_interfering_write(sc: Scenario, seed: int, write_rid: str, read_site:
     stream of local reads; returns the read-latency timeline around the write
     and the write's protocol timestamps extracted from the trace.
 
-    The scenario must script the write with op id `write_rid` and keep
-    open-loop readers at `read_site`.
+    The scenario must script the write with op id `write_rid`, its
+    command's client, and keep open-loop readers at `read_site`.
     """
     res = run_scenario(sc, seed, trace=True)
     accept_at = None
@@ -715,8 +713,8 @@ def inject_interfering_write(sc: Scenario, seed: int, write_rid: str, read_site:
         if not msg:
             continue
         if msg.get("kind") == "Accept" and accept_at is None:
-            rids = [c["_c"]["request_id"] for c in msg["batch"]]
-            if write_rid in rids and d.get("to") == d.get("frm"):
+            clients = [c["_c"]["client"] for c in msg["batch"]]
+            if write_rid in clients and d.get("to") == d.get("frm"):
                 accept_at = d["t"]
                 slot = msg["slot"]
         elif msg.get("kind") == "Commit" and slot is not None and commit_seen_at is None:

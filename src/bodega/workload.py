@@ -8,7 +8,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .model import SettingError, count, listed, ms_to_us, number, read_settings
+from .model import SettingError, convert, count, listed, ms_to_us, number, read_settings
 
 
 def key_name(i: int, key_len: int) -> bytes:
@@ -100,6 +100,8 @@ def workload_from_dict(d: dict, n: int) -> Workload:
     w = Workload(**read_settings(d, WORKLOAD_KEYS))
     if w.keys == 0:
         raise SettingError("keys", "must be at least 1")
+    # the largest power `zipf_cdf` takes, so a theta it cannot use fails here
+    convert("distribution.zipf", pow, float(w.keys), w.zipf_theta)
     for i, (site, _count) in enumerate(w.clients):
         if site >= n:
             raise SettingError(f"clients[{i}].site", f"node id {site} not in [0, {n})")

@@ -189,7 +189,7 @@ def test_c06_commit_condition_conformance():
         cfg = ClusterConfig(n=n)
         node = Node(0, cfg)
         m = cfg.majority
-        slot = LogSlot(1, Ballot(1, 0), (Command("put", b"k", b"v", "r"),))
+        slot = LogSlot(1, Ballot(1, 0), (Command("put", b"k", b"v", "r", 1),))
         for resp_mask in range(2 ** n):
             responders = frozenset(p for p in range(n) if resp_mask >> p & 1)
             node.ros = full_range_roster(0, responders)

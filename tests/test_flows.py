@@ -2,7 +2,9 @@
 cases, holding and release, roster changes, failures, and catch-up."""
 import json
 
+from bodega.events import Send
 from bodega.lincheck import check
+from bodega.messages import CatchUpReply
 from bodega.model import Ballot
 from bodega.sim.harness import Simulation, inject_interfering_write, run_scenario
 from bodega.sim.scenario import scenario_from_dict
@@ -145,7 +147,8 @@ def test_held_read_released_by_early_notes_before_commit():
 
 def test_interfering_write_is_found_by_its_exact_request_id():
     # the workload client w1.0 issues writes w1.0.1, w1.0.2, ... whose ids
-    # contain the scripted write's id "w1"; only the scripted one counts
+    # and client name contain the scripted write's id "w1"; only the
+    # scripted one, the one command of client "w1", counts
     d = {
         "name": "rid-prefix", "nodes": 3, "rtt_ms": sym(3, 20),
         "initial_roster": {"announcer": 0, "at_ms": 10, "leader": 0,
@@ -338,3 +341,34 @@ def test_snapshot_taken_and_reads_keep_working():
     assert not sim.violations
     assert all(n.counters.get("snapshots", 0) >= 1 for n in sim.nodes)
     assert all(n.log.snap_upto > 0 for n in sim.nodes)
+
+
+def test_dedup_state_stays_one_entry_per_client_over_a_long_run():
+    """60 virtual seconds of 10 clients with snapshots every 5 slots, and a
+    partition that leaves node 2 behind the others' snapshots until it
+    heals: every node's session table, and every snapshot catch-up, holds
+    at most one entry per client."""
+    sc = base_scenario(
+        nodes=3, rtt_ms=sym(3, 20),
+        initial_roster={"announcer": 0, "at_ms": 10, "leader": 0,
+                        "ranges": [{"lo": "", "hi": None, "responders": []}]},
+        config={"snapshot_every": 5},
+        workload={"start_ms": 300, "duration_ms": 60_000, "keys": 20, "write_ratio": 0.1,
+                  "clients": [{"site": 0, "count": 5}, {"site": 1, "count": 5}]},
+        events=[{"at_ms": 20_000, "partition": {"groups": [[0, 1], [2]], "heal_ms": 24_000}}])
+    shipped = []
+
+    class Recording(Simulation):
+        def _apply_outputs(self, node_id, outs):
+            shipped.extend(len(o.msg.snap_sessions) for o in outs
+                           if type(o) is Send and type(o.msg) is CatchUpReply
+                           and o.msg.snap_upto)
+            super()._apply_outputs(node_id, outs)
+
+    res = Recording(sc, seed=1, monitors=True).run()
+    assert not res.violations and lin_ok(res)
+    assert shipped and max(shipped) <= 10, shipped
+    assert sum(r.outcome == "ok" for r in res.history) > 10_000
+    for node in res.nodes:
+        assert node.counters["snapshots"] > 100
+        assert len(node.log.sessions) <= 10 and len(node.log.rid_index) <= 10

@@ -16,7 +16,7 @@ def _node() -> Node:
     B3, and slot 5 committed at B1."""
     node = Node(1, ClusterConfig(n=3))
     for idx, bal in ((1, B2), (3, B1), (4, B3), (5, B1)):
-        node.log.record_accept(idx, bal, (Command("put", b"k", b"v%d" % idx, f"r{idx}"),))
+        node.log.record_accept(idx, bal, (Command("put", b"k", b"v%d" % idx, "c", idx),))
     node.log.mark_committed(5)
     return node
 
@@ -41,12 +41,13 @@ def test_reported_commits_are_committed_or_fetched(report, upto):
     assert fetches == [(0, tuple(want))]
 
 
-def test_snapshot_catchup_ships_the_ids_applied_up_to_its_point():
-    """A snapshot at slot 3 ships r1-r3; r4, applied later in slot 4, is left
-    to the slot itself, or the receiver would skip it as a duplicate."""
+def test_snapshot_catchup_ships_the_sessions_as_of_its_point():
+    """A snapshot at slot 3 ships client c's entry as 3; seq 4, executed
+    later in slot 4, is left to the slot itself, or the receiver would skip
+    it as a duplicate."""
     node = Node(1, ClusterConfig(n=3))
     for idx in range(1, 5):
-        node.log.record_accept(idx, B1, (Command("put", b"k", b"v%d" % idx, f"r{idx}"),))
+        node.log.record_accept(idx, B1, (Command("put", b"k", b"v%d" % idx, "c", idx),))
         node.log.mark_committed(idx)
         node.log.execute_ready()
         if idx == 3:
@@ -54,7 +55,7 @@ def test_snapshot_catchup_ships_the_ids_applied_up_to_its_point():
     outs = node.handle(Deliver(0, CatchUpRequest((2, 4))), NOW)
     [reply] = [o.msg for o in outs if type(o) is Send and type(o.msg) is CatchUpReply]
     assert reply.snap_upto == 3
-    assert reply.snap_applied == ("r1", "r2", "r3")
+    assert reply.snap_sessions == (("c", 3),)
     assert [e[0] for e in reply.entries] == [4]
 
 
@@ -67,10 +68,10 @@ def test_a_read_held_again_on_a_later_slot_is_dispatched_once():
     node = Node(1, ClusterConfig(n=3))
     node.bal, node.ros = B1, full_range_roster(0, {1})
     node.leases.endowed.update({0: NOW * 2, 1: NOW * 2})
-    node.log.record_accept(1, B1, (Command("put", b"k", b"a", "w1"),))
+    node.log.record_accept(1, B1, (Command("put", b"k", b"a", "w1", 1),))
     assert node.is_stable()
-    assert node.handle(ClientRequest("c", Command("get", b"k", None, "c.1")), NOW) == []
-    node.log.record_accept(2, B1, (Command("put", b"k", b"b", "w2"),))
+    assert node.handle(ClientRequest(Command("get", b"k", None, "c", 1)), NOW) == []
+    node.log.record_accept(2, B1, (Command("put", b"k", b"b", "w2", 1),))
     assert node._redispatch_pending(NOW) == []
     assert [len(s.pending_reads) for s in node.log.slots.values()] == [0, 1]
     assert node.counters["reads_held"] == 2  # once on arrival, once in the pass

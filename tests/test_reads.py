@@ -14,8 +14,8 @@ ROSTER = full_range_roster(0, {1, 2})
 MAJORITY = 3
 
 
-def put(value: bytes, rid: str) -> Command:
-    return Command("put", b"k", value, rid)
+def put(value: bytes, client: str) -> Command:
+    return Command("put", b"k", value, client, 1)
 
 
 def build(batches, committed=(), executed=False, notes=()):
@@ -35,7 +35,7 @@ def build(batches, committed=(), executed=False, notes=()):
 
 def snapshot_only():
     log = ConsensusLog()
-    log.install_snapshot(4, {b"k": b"S"}, set())
+    log.install_snapshot(4, {b"k": b"S"}, {})
     return log, None
 
 

@@ -20,7 +20,7 @@ from bodega.service.config import ConfigError, node_config_from_dict
 from bodega.service import daemon as daemon_mod
 from bodega.service.daemon import Daemon, replay_digest
 from bodega.service.client import KvClient, ctl_request
-from bodega.service.wire import FrameReader, WireError, decode_body, encode
+from bodega.service.wire import PROTO_VERSION, FrameReader, WireError, decode_body, encode
 from bodega.workload import Workload
 
 
@@ -103,14 +103,14 @@ def test_msg_codec_roundtrips_everything():
         AcceptNote, AcceptReply, CatchUpReply, Commit, Heartbeat,
         PrepareReply, StatsReport,
     )
-    cmds = (Command("put", b"k", b"v", "r1"), Command("get", b"k", None, "r2"))
+    cmds = (Command("put", b"k", b"v", "r", 1), Command("get", b"k", None, "r", 2))
     samples = [
         Accept(Ballot(2, 1), 7, cmds),
         AcceptReply(Ballot(2, 1), 7, higher=Ballot(3, 0)),
         AcceptNote(Ballot(2, 1), 7),
         Commit(Ballot(2, 1), (7, 8)),
         PrepareReply(Ballot(2, 1), ((7, Ballot(1, 1), cmds, True),)),
-        CatchUpReply(((7, Ballot(1, 1), cmds, False),), 3, ((b"a", b"b"),), ("r0",)),
+        CatchUpReply(((7, Ballot(1, 1), cmds, False),), 3, ((b"a", b"b"),), (("r", 2),)),
         Heartbeat(Ballot(2, 1), full_range_roster(0, {1, 2}), True, False, 9),
         StatsReport(((b"k", 1, 3, 4),)),
         CtlReply(True, "", Ballot(1, 0), full_range_roster(0, set()), ((b"k", 0, 1, 2),)),
@@ -123,11 +123,11 @@ def test_msg_codec_roundtrips_events():
     """Client requests go on the wire, and every event goes into the event
     log, in the message codec's form."""
     samples = [
-        ClientRequest("c1", Command("put", b"k", b"\xff", "c1.1"), 2, True, False),
-        ClientRequest("c1", Command("get", b"k", None, "c1.2")),
+        ClientRequest(Command("put", b"k", b"\xff", "c1", 1), 2, True, False),
+        ClientRequest(Command("get", b"k", None, "c1", 2)),
         OperatorRequest("roster_set", "ctl", full_range_roster(0, {1, 2})),
         OperatorRequest("stats"),
-        Deliver(1, Accept(Ballot(2, 1), 7, (Command("put", b"k", b"v", "r1"),))),
+        Deliver(1, Accept(Ballot(2, 1), 7, (Command("put", b"k", b"v", "r", 1),))),
         TimerFire(("lease", "guarding", 2)),
         TimerFire(("hb_tick",)),
     ]
@@ -137,16 +137,16 @@ def test_msg_codec_roundtrips_events():
 
 def test_read_reply_frame_is_small():
     """A 64-byte read reply costs at most 120 bytes on the wire."""
-    raw = encode("n0", 2**20, ClientReadReply("p0c1.123456", b"p0c1.123456.".ljust(64, b"x")))
+    raw = encode("n0", 2**20, ClientReadReply(123456, b"p0c1.123456.".ljust(64, b"x")))
     assert len(raw) <= 120, len(raw)
 
 
 def _body(*fields):
-    return json.dumps([2, *fields]).encode()
+    return json.dumps([PROTO_VERSION, *fields]).encode()
 
 
-_READ_REPLY = to_wire(ClientReadReply("r", None))[0]
-_CLIENT_REQUEST = to_wire(ClientRequest("c1", Command("get", b"k", None, "c1.1")))[0]
+_READ_REPLY = to_wire(ClientReadReply(1, None))[0]
+_CLIENT_REQUEST = to_wire(ClientRequest(Command("get", b"k", None, "c1", 1)))[0]
 _GUARD = to_wire(Guard(Ballot(1, 0), 0))[0]
 
 # bodies that are JSON but no frame: each must raise WireError, not the
@@ -154,9 +154,9 @@ _GUARD = to_wire(Guard(Ballot(1, 0), 0))[0]
 MALFORMED_BODIES = {
     "nested_100k_deep": b"[" * 100_000 + b"]" * 100_000,
     "one_number": b"[1]",
-    "number_for_bytes": _body("n1", 1, _READ_REPLY, "n1.1", 5, None, None),
-    "numeric_command_key": _body("c1", 1, _CLIENT_REQUEST, "c1",
-                                 {"kind": "get", "key": 5, "request_id": "c1.1"}, -1, False, True),
+    "number_for_bytes": _body("n1", 1, _READ_REPLY, 1, 5, None, None),
+    "numeric_command_key": _body("c1", 1, _CLIENT_REQUEST,
+                                 {"kind": "get", "key": 5, "client": "c1", "seq": 1}, -1, False, True),
     "ballot_of_three": _body("n1", 1, _GUARD, [1, 0, 0], 0),
     "ballot_non_int_node": _body("n1", 1, _GUARD, [1, "0"], 0),
 }
@@ -166,6 +166,34 @@ MALFORMED_BODIES = {
 def test_malformed_body_raises_wire_error(name):
     with pytest.raises(WireError):
         decode_body(MALFORMED_BODIES[name])
+
+
+def test_kv_client_takes_only_its_own_increasing_request_ids():
+    """The cluster acknowledges a write whose seq is at or below the highest
+    it has executed for the client id, and skips it. So `KvClient.op`
+    refuses a request id that names another client, has no integer seq, or
+    does not increase, and refuses it before it sends anything."""
+    async def main():
+        cli = KvClient(["127.0.0.1:1"] * 3, 0, "c7", unhold_floor_ms=5, op_timeout_s=0.02)
+        sent = []
+
+        async def send(node, msg):
+            sent.append(msg)
+        cli._send = send
+        assert (await cli.op("put", b"k", b"v", request_id="c7.5"))[0] == "timeout"
+        assert {r.cmd for r in sent} == {Command("put", b"k", b"v", "c7", 5)}
+        for rid in ("c8.6", "c7.x", "c7.", "c7", "c7.-6", "c7.6.1", "c7.\u0663", "c7.5", "c7.4"):
+            sent.clear()
+            with pytest.raises(ValueError):
+                await cli.op("put", b"k", b"w", request_id=rid)
+            assert sent == [] and cli.op_seq == 5, rid
+        await cli.op("get", b"k")
+        assert {r.cmd.seq for r in sent} == {6}
+        sent.clear()
+        await cli.op("get", b"k", request_id="c7.9")
+        assert {r.cmd.seq for r in sent} == {9} and cli.op_seq == 9
+        await cli.close()
+    asyncio.run(main())
 
 
 # ------------------------------------------------------------- live cluster
@@ -270,9 +298,9 @@ def test_client_port_drops_what_is_not_the_senders_own_request():
             digest = d.node.state_digest()
             bad = [
                 Guard(Ballot(9, 1), 5),
-                Deliver(1, Accept(Ballot(9, 1), 1, (Command("put", b"k", b"v", "x.1"),))),
+                Deliver(1, Accept(Ballot(9, 1), 1, (Command("put", b"k", b"v", "x", 1),))),
                 TimerFire(("tune",)),
-                ClientRequest("other", Command("put", b"k", b"v", "x.2")),
+                ClientRequest(Command("put", b"k", b"v", "other", 2)),
                 OperatorRequest("roster_set", "other", full_range_roster(0, {1})),
             ]
             for seq, msg in enumerate(bad, 1):
@@ -345,7 +373,7 @@ def test_peer_port_closes_on_what_no_peer_sends():
             digest = d.node.state_digest()
             frames = [
                 encode("n1", 1, TimerFire(("tune",))),
-                encode("n1", 1, ClientRequest("c1", Command("put", b"k", b"v", "c1.1"))),
+                encode("n1", 1, ClientRequest(Command("put", b"k", b"v", "c1", 1))),
                 encode("n1", 1, Deliver(1, Accept(Ballot(9, 1), 1, ()))),
                 encode("n\u00b2", 1, Guard(Ballot(9, 1), 5)),
             ]
@@ -685,6 +713,42 @@ def test_bench_against_a_live_cluster(tmp_path, rate):
         for c in per_client:
             invokes = [r["invoke"] for r in rows if r["client"] == c]
             assert {b - a for a, b in zip(invokes, invokes[1:])} == {int(1e6 / rate)}
+
+
+def test_two_bench_runs_against_one_cluster_make_one_history(tmp_path):
+    """A client id names one incarnation of a client, so each bench run
+    names its clients apart: a second run against the same cluster must
+    have its writes take effect, not acknowledged and skipped as the first
+    run's. The two histories together, each run's ids kept apart, are
+    linearizable."""
+    w = Workload(start=0, duration=1_000_000, keys=8, key_len=4, value_len=16, write_ratio=0.3,
+                 clients=[(1, 1), (2, 1)], op_timeout=5_000_000)
+
+    async def main():
+        cfgs = cluster_configs(3)
+        daemons = await _start_cluster(cfgs)
+        addrs = [c.peers[i].client for i, c in enumerate(cfgs)]
+        try:
+            rep = await ctl_request(addrs[0], "roster_set", full_range_roster(0, {1, 2}))
+            assert rep.ok
+            await _until_ready(daemons, rep.bal)
+            for run in (1, 2):
+                await bench(w, addrs, seed=2 + run, history_path=str(tmp_path / f"h{run}.jsonl"))
+        finally:
+            await _stop_cluster(daemons)
+
+    asyncio.run(main())
+    runs = [[json.loads(line) for line in (tmp_path / f"h{run}.jsonl").read_text().splitlines()]
+            for run in (1, 2)]
+    clients = [{r["client"] for r in rows} for rows in runs]
+    both = tmp_path / "both.jsonl"
+    with open(both, "w", encoding="utf-8") as f:
+        for run, rows in enumerate(runs, 1):
+            for r in rows:
+                r["client"], r["request_id"] = f"{run}/{r['client']}", f"{run}/{r['request_id']}"
+                f.write(json.dumps(r) + "\n")
+    assert all(runs) and check_file(str(both)) is None
+    assert not clients[0] & clients[1]
 
 
 def test_node_config_validation():

@@ -2,6 +2,7 @@
 share, and every reader's totality: a malformed file raises the reader's
 named error and nothing else."""
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bodega.model import SettingError
 from bodega.service.config import ConfigError, node_config_from_dict
 from bodega.sim.scenario import ScenarioError, scenario_from_dict
-from bodega.workload import Workload, workload_from_dict
+from bodega.workload import OpGen, Workload, workload_from_dict
 
 from .support import DROP, entry_paths, with_entry
 
@@ -68,6 +69,7 @@ def test_every_key_loads():
     ("write_ratio", 2), ("write_ratio", "0.1"), ("keys", 0), ("keys", True),
     ("distribution", "zipf"), ("mode", {"open_rate_per_s": -1}), ("mode", {"rate": 5}),
     ("duration_s", 10), ("op_timeout_s", 30), ("unhold_floor_ms", 50),
+    ("distribution", {"zipf": 2000}),
 ])
 def test_workload_validation(key, value):
     """The bench's workload file is a scenario's `workload` block: its
@@ -75,6 +77,18 @@ def test_workload_validation(key, value):
     with pytest.raises(SettingError) as e:
         workload_from_dict(dict(WORKLOAD, **{key: value}), 3)
     assert e.value.key.startswith(key)
+
+
+def test_a_zipf_theta_the_key_weights_overflow_at_is_rejected():
+    """`zipf_cdf` takes `keys ** theta`: with 50 keys, a theta of 2000
+    overflows it and is rejected by the reader, and 181 (50 ** 181 is about
+    1e307) loads and draws."""
+    with pytest.raises(SettingError) as e:
+        workload_from_dict(dict(WORKLOAD, keys=50, distribution={"zipf": 2000}), 3)
+    assert e.value.key == "distribution.zipf"
+    w = workload_from_dict(dict(WORKLOAD, keys=50, distribution={"zipf": 181}), 3)
+    ops = OpGen(w.keys, w.key_len, w.value_len, w.write_ratio, w.zipf_theta)
+    assert ops.draw(random.Random(1), "c", 1)[0] == ops.keys[0]
 
 
 # values at the edges of what a converter must reject, drawn often

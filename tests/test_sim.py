@@ -296,22 +296,22 @@ def test_all_stable_is_recorded_at_the_first_node_event_after_a_crash():
 # and says why.
 RECORDED_TRACES = {
     "rand3": (lambda: random_fault_scenario(3), 3,
-              "6a219f77d3d8d58142b95efb1d78d74891fd28d601141dd2f9c9f406b7194d21",
+              "c49d3d5f34743d73550631569347335b18a3da15c334161594d1297311b26b71",
               "37cc2a9f31a2cef10189d87c6a48e6f7c1b941a89fa49ccadedf7dda77c65423"),
     "rand97": (lambda: random_fault_scenario(97), 97,
-               "cca9235319a25c7cca2838dbe2ddef2478dc30b634be19c794f05b632847136f",
+               "b1eb5e3833af7051e7790678bb2525c5396845b611be91912e8c17923ad4e099",
                "2f7d09089ee5727daa0541ec0576a17dfc04d1322b1b9dfd878c84dd339756ce"),
     "rand179": (lambda: random_fault_scenario(179), 179,
-                "f1656ef0d9d78413db493c700842fc5c23b50e63d506fae982771eceb0e85c35",
+                "c8c1c220fe49882ad26d3c88c283d1930faff44db1d2b4b9ee70b8a4ed621695",
                 "b2301a047fcb86e53901c03645243956b3277527476aa18dba46b2656ba91452"),
     "geo10": (lambda: geo_scenario(0.10), 31,
-              "cb6951afde2b06b37992db2f9ea87cafe78c10ad63862ee67ce7be50bd54305e",
+              "e721d40097f8300ef7e7be955c79e05b436e67ae1861d08418a225815e7d9864",
               "82b5379afc1a6515509b2efde6198f184da9d96e620f7b03fbe20da55364caeb"),
     "crash_leader": (lambda: load_scenario("scenarios/crash_leader.json"), 7,
-                     "679b2d98bce65b6fcca67f9f18499a41dcf5c02cee55f624599100c972d60d7a",
+                     "9660b1782193caa6d163cd6a9c3be92b3a7965fbaaba097b30336a4c349877cc",
                      "17ddf698608cb6f01e27143257c1e73d25f2a21fff367083ef9d8ac65167d240"),
     "zipf_open": (lambda: scenario_from_dict(ZIPF_OPEN), 5,
-                  "0c089b6fd9eac9919993b6d658da245c96309cc60a2113edce98037964099130",
+                  "7796ccc707b28ab3d59213cb5cee972707e5ef7c8a5334f1d8097e2cc6c975a4",
                   "99459fe3f0b470a205a37fd3a2d1db7a6b719841dc1b22c304c35d5988f6682e"),
 }
 

@@ -69,25 +69,24 @@ class Cluster:
             if not drop(to, frm, msg):
                 self.deliver(to, frm, msg)
 
-    def take_replies(self, rid: str) -> list:
-        mine = [(i, o) for i, o in self.replies
-                if getattr(o.msg, "request_id", None) == rid]
+    def take_replies(self, client: str) -> list:
+        mine = [(i, o) for i, o in self.replies if o.client == client]
         self.replies = [r for r in self.replies if r not in mine]
         return [o.msg for _i, o in mine]
 
 
-def put(key: bytes, value: bytes, rid: str) -> Command:
-    return Command("put", key, value, rid)
+def put(key: bytes, value: bytes, client: str) -> Command:
+    return Command("put", key, value, client, 1)
 
 
-def read(c: Cluster, node: int, key: bytes, rid: str) -> None:
-    c.handle(node, ClientRequest("reader", Command("get", key, None, rid)))
+def read(c: Cluster, node: int, key: bytes, client: str) -> None:
+    c.handle(node, ClientRequest(Command("get", key, None, client, 1)))
 
 
 def test_a_retry_of_a_logged_write_is_not_proposed_again():
     c = Cluster(3, leader=0, responders={1, 2})
     no_accept_replies = lambda to, frm, msg: isinstance(msg, AcceptReply)  # noqa: E731
-    c.handle(0, ClientRequest("cli", put(b"k", b"A", "r1")))
+    c.handle(0, ClientRequest(put(b"k", b"A", "r1")))
     c.handle(0, TimerFire(("batch",)))
     c.run(drop=no_accept_replies)
     # failover to node 1: its step-up re-proposes slot 1, which holds r1
@@ -97,10 +96,10 @@ def test_a_retry_of_a_logged_write_is_not_proposed_again():
     assert new.leader_ready and new.log.slots[1].bal == new.bal
     c.sent.clear()
     # the client's retry of r1 reaches the new leader
-    c.handle(1, ClientRequest("cli", put(b"k", b"A", "r1"), fresh=False))
+    c.handle(1, ClientRequest(put(b"k", b"A", "r1"), fresh=False))
     c.handle(1, TimerFire(("batch",)))
     reproposed = [o.msg.slot for _i, o in c.sent if isinstance(o.msg, Accept)
-                  and any(cmd.request_id == "r1" for cmd in o.msg.batch)]
+                  and any(cmd.client == "r1" for cmd in o.msg.batch)]
     assert reproposed == [], "a request already in the log was proposed again"
     # the retry is answered when the slot already holding r1 executes
     for p in range(3):
@@ -110,7 +109,7 @@ def test_a_retry_of_a_logged_write_is_not_proposed_again():
 
 def test_a_retry_is_proposed_again_once_its_slot_is_replaced():
     c = Cluster(3, leader=0, responders={1, 2})
-    c.handle(0, ClientRequest("cli", put(b"k", b"A", "r1")))
+    c.handle(0, ClientRequest(put(b"k", b"A", "r1")))
     c.handle(0, TimerFire(("batch",)))
     # only node 1 accepts r1 in slot 1
     c.run(drop=lambda to, frm, msg: isinstance(msg, AcceptReply)
@@ -120,16 +119,16 @@ def test_a_retry_is_proposed_again_once_its_slot_is_replaced():
     c.run(drop=lambda to, frm, msg: to == frm == 1 and type(msg).__name__ == "PrepareReply")
     new = c.nodes[1]
     assert new.leader_ready and new.log.slots[1].bal < new.bal
-    c.handle(1, ClientRequest("cli", put(b"k", b"A", "r1"), fresh=False))
+    c.handle(1, ClientRequest(put(b"k", b"A", "r1"), fresh=False))
     # the next proposal fills slot 1, and r1 is no longer in the log
-    c.handle(1, ClientRequest("other", put(b"j", b"B", "r2")))
+    c.handle(1, ClientRequest(put(b"j", b"B", "r2")))
     c.handle(1, TimerFire(("batch",)))
     c.run()
-    assert not new.log.has_request("r1")
+    assert not new.log.has_request(put(b"k", b"A", "r1"))
     c.sent.clear()
-    c.handle(1, ClientRequest("cli", put(b"k", b"A", "r1"), fresh=False))
+    c.handle(1, ClientRequest(put(b"k", b"A", "r1"), fresh=False))
     c.handle(1, TimerFire(("batch",)))
-    assert any(isinstance(o.msg, Accept) and any(cmd.request_id == "r1" for cmd in o.msg.batch)
+    assert any(isinstance(o.msg, Accept) and any(cmd.client == "r1" for cmd in o.msg.batch)
                for _i, o in c.sent)
 
 
@@ -213,7 +212,7 @@ def test_nack_naming_own_ballot_does_not_stop_the_step_up():
 def test_client_redirects_it_does_not_follow_do_not_exhaust_it():
     cache = ClientCache(site=1, n=3)
     cache.learn(Ballot(1, 0), full_range_roster(0, {2}))
-    sess = ClientSession(cache, "c", Command("put", b"k", b"v", "w1"), started=0,
+    sess = ClientSession(cache, Command("put", b"k", b"v", "w1", 1), started=0,
                          patience=10_000_000)
     sess.begin()
     now = 0
@@ -221,10 +220,10 @@ def test_client_redirects_it_does_not_follow_do_not_exhaust_it():
         now += 60_000
         sess.on_timer(now)
         # the node just tried points back at the leader
-        outs = sess.on_msg(ClientRedirect("w1", 0, cache.bal), now)
+        outs = sess.on_msg(ClientRedirect(1, 0, cache.bal), now)
         assert not any(isinstance(o, ClientDone) for o in outs)
     assert not sess.done
-    assert sess.on_msg(ClientWriteReply("w1", cache.bal), now) == [ClientDone("ok", None)]
+    assert sess.on_msg(ClientWriteReply(1, cache.bal), now) == [ClientDone("ok", None)]
 
 
 # (seed, snapshot_every); the runs with snapshots on met fault D

@@ -5,7 +5,7 @@ of the same frame body.
     python3 tools/wire_bench.py [--src path/to/src]
 
 `--src` picks the checkout whose `bodega` is measured (default: this one),
-so the same script times two versions. Prints one JSON object. A time is
+so the same script times two versions, both with `(client, seq)` commands. Prints one JSON object. A time is
 the mean µs per call over NUMBER calls, in the fastest of REPEAT repeats: on
 a shared host, other load only ever adds time. Decoding and `json.loads`
 alternate within each repeat, so both see the same host.
@@ -29,11 +29,11 @@ def samples():
     from bodega.model import Ballot, Command
 
     value = b"p0c1.1234.".ljust(64, b"x")  # a 64-byte value, as live-mixed writes
-    put = Command("put", b"k000123", value, "p0c1.1234")
+    put = Command("put", b"k000123", value, "p0c1", 1234)
     return {
-        "ClientRequest": ClientRequest("p0c1", Command("get", b"k000123", None, "p0c1.1235"), 1, False, True),
-        "ClientReadReply": ClientReadReply("p0c1.1235", value),
-        "Accept": Accept(Ballot(2, 0), 1234, (put, Command("put", b"k000124", value, "p0c2.1234"))),
+        "ClientRequest": ClientRequest(Command("get", b"k000123", None, "p0c1", 1235), 1, False, True),
+        "ClientReadReply": ClientReadReply(1235, value),
+        "Accept": Accept(Ballot(2, 0), 1234, (put, Command("put", b"k000124", value, "p0c2", 1234))),
         "Heartbeat": Heartbeat(Ballot(2, 0), None, True, False, 1234),
     }
 
