@@ -13,13 +13,14 @@ import random
 import secrets
 
 from ..workload import OpGen, Workload, latency_summary
-from .client import KvClient, mono_us
+from .client import KvClient, loop_us
 
 
 async def _client_task(cid: str, site: int, addrs: list[str], w: Workload, ops: OpGen,
                        seed: int, begin: int, stop_at: int, unhold_floor_ms: float,
                        records: list[dict]) -> None:
-    """Run one client from `begin` until `stop_at` (monotonic microseconds).
+    """Run one client from `begin` until `stop_at` (`loop_us()`, the clock
+    that times the client's ops too).
     Closed loop: the next op starts `w.think` after the last one ends. Open
     loop: op k is due at k / rate after `begin`; one that comes due while
     the previous op is in flight starts as soon as that op ends, and its
@@ -32,15 +33,15 @@ async def _client_task(cid: str, site: int, addrs: list[str], w: Workload, ops: 
     n = 0
     name = cid.partition(".")[2]  # values leave out the site, to stay distinct within value_len
     try:
-        while (now := mono_us()) < stop_at and due < stop_at:
+        while (now := loop_us()) < stop_at and due < stop_at:
             if due > now:
                 await asyncio.sleep((due - now) / 1e6)
-            invoke = due if period else mono_us()
+            invoke = due if period else loop_us()
             n += 1
             key, value = ops.draw(rng, name, n)
             op = "get" if value is None else "put"
             outcome, got, _lat = await cli.op(op, key, value)  # seq n
-            end = mono_us()
+            end = loop_us()
             due = invoke + period if period else end + w.think
             if op == "get":
                 value = got
@@ -90,7 +91,7 @@ async def bench(w: Workload, client_addrs: list[str], seed: int = 0,
     wall time counts from the end of the workload's `start` delay."""
     records: list[dict] = []
     ops = OpGen(w.keys, w.key_len, w.value_len, w.write_ratio, w.zipf_theta)
-    begin = mono_us() + w.start
+    begin = loop_us() + w.start
     stop_at = begin + w.duration
     tasks = []
     idx = 0
@@ -103,7 +104,7 @@ async def bench(w: Workload, client_addrs: list[str], seed: int = 0,
                 _client_task(cid, site, client_addrs, w, ops, seed * 1009 + idx,
                              begin, stop_at, unhold_floor_ms, records)))
     await asyncio.gather(*tasks)
-    wall = max(0, mono_us() - begin) / 1e6
+    wall = max(0, loop_us() - begin) / 1e6
     summary = _summary(records, wall)
     if csv_path:
         with open(csv_path, "w", newline="", encoding="utf-8") as f:

@@ -19,6 +19,7 @@ from bodega.service.bench import bench
 from bodega.service.config import ConfigError, node_config_from_dict
 from bodega.service import daemon as daemon_mod
 from bodega.service.daemon import Daemon, replay_digest
+from bodega.service import client as client_mod
 from bodega.service.client import KvClient, ctl_request
 from bodega.service.wire import PROTO_VERSION, FrameReader, WireError, decode_body, encode
 from bodega.workload import Workload
@@ -670,6 +671,106 @@ def test_live_cluster_survives_node_kill():
             await cli.close()
         finally:
             await _stop_cluster([d for i, d in enumerate(daemons) if i != 4])
+
+    asyncio.run(main())
+
+
+async def _serving_cluster():
+    """A 3-node cluster whose roster names responders 1 and 2, ready to
+    serve: (daemons, client addresses)."""
+    cfgs = cluster_configs(3)
+    daemons = await _start_cluster(cfgs)
+    addrs = [c.peers[i].client for i, c in enumerate(cfgs)]
+    rep = await ctl_request(addrs[0], "roster_set", full_range_roster(0, {1, 2}))
+    assert rep.ok
+    await _until_ready(daemons, rep.bal)
+    return daemons, addrs
+
+
+def test_kv_client_rotates_past_a_closed_client_port():
+    """A refused connect is no error: with its own node's client port
+    closed, a client's get goes to the next node of its rotation on the
+    unhold timer and completes there."""
+    async def main():
+        daemons, addrs = await _serving_cluster()
+        try:
+            writer = KvClient(addrs, site=2, cid="a0", op_timeout_s=5.0)
+            assert (await writer.put(b"k", b"v"))[0] == "ok"
+            await writer.close()
+            closed = list(addrs)
+            closed[1] = f"127.0.0.1:{free_ports(1)[0]}"
+            cli = KvClient(closed, site=1, cid="a1", unhold_floor_ms=20, op_timeout_s=5.0)
+            after = cli.cache.preference_order(b"k")[1]  # no roster cached: node 0
+            outcome, value, latency_us = await cli.get(b"k")
+            assert (outcome, value) == ("ok", b"v") and latency_us >= 20_000
+            assert sorted(cli.links) == [after]
+            await cli.close()
+        finally:
+            await _stop_cluster(daemons)
+
+    asyncio.run(main())
+
+
+def test_kv_client_reconnects_a_connection_the_node_closed():
+    """After a node closes the client's connection between two ops, the
+    second op connects to the same node again and is served there, well
+    before the unhold timer would rotate it elsewhere."""
+    async def main():
+        daemons, addrs = await _serving_cluster()
+        try:
+            cli = KvClient(addrs, site=1, cid="b1", unhold_floor_ms=2000, op_timeout_s=5.0)
+            assert (await cli.put(b"k", b"v"))[0] == "ok"
+            assert (await cli.get(b"k"))[:2] == ("ok", b"v")
+            link = cli.links[1]
+            here = link.transport.get_extra_info("sockname")
+            accepted = next(tr for tr in daemons[1]._accepted
+                            if tr.get_extra_info("peername") == here)
+            accepted.close()
+            await _until(lambda: link.transport is None)
+            outcome, value, latency_us = await cli.get(b"k")
+            assert (outcome, value) == ("ok", b"v") and latency_us < 1_000_000
+            assert cli.links[1] is not link and cli.links[1].transport is not None
+            await cli.close()
+        finally:
+            await _stop_cluster(daemons)
+
+    asyncio.run(main())
+
+
+def test_kv_client_ops_start_no_task_and_close_leaves_nothing():
+    """The client's I/O is protocol callbacks and one future per wait:
+    200 ops create no asyncio Task, each wait cancels its timer, and
+    `close()` closes every transport."""
+    async def main():
+        daemons, addrs = await _serving_cluster()
+        loop = asyncio.get_running_loop()
+        try:
+            cli = KvClient(addrs, site=1, cid="c1", op_timeout_s=5.0)
+            assert (await cli.put(b"k0", b"v"))[0] == "ok"  # connects to the leader and node 1
+            tasks = asyncio.all_tasks()
+            created = []
+
+            def factory(loop, coro):
+                created.append(coro)
+                return asyncio.Task(coro, loop=loop)
+            loop.set_task_factory(factory)
+            try:
+                for n in range(200):
+                    key = b"k%d" % (n % 7)
+                    outcome = (await (cli.put(key, b"v%d" % n) if n % 10 == 0
+                                      else cli.get(key)))[0]
+                    assert outcome == "ok"
+            finally:
+                loop.set_task_factory(None)
+            assert created == [] and asyncio.all_tasks() == tasks
+            transports = [link.transport for link in cli.links.values()]
+            assert len(transports) == 2
+            await cli.close()
+            assert all(tr.is_closing() for tr in transports)
+            assert [h for h in loop._scheduled
+                    if not h.cancelled() and h._callback is client_mod._wake] == []
+        finally:
+            await _stop_cluster(daemons)
 
     asyncio.run(main())
 

@@ -91,6 +91,19 @@ def test_a_zipf_theta_the_key_weights_overflow_at_is_rejected():
     assert ops.draw(random.Random(1), "c", 1)[0] == ops.keys[0]
 
 
+def test_a_put_value_names_its_client_and_op_number():
+    """A put's value is `v.<cid>.<n>.` padded with "x" to `value_len`, so
+    the values bodega-bench's clients (named `<index>.<run token>`) write
+    stay distinct over their first 10^4 ops."""
+    ops = OpGen(10, 4, 16, 1.0, 0.0)
+
+    def value(cid, n):
+        return ops.draw(random.Random(1), cid, n)[1]
+    assert value("c", 5) == b"v.c.5.xxxxxxxxxx"
+    assert value("12.3fa2", 10000) == b"v.12.3fa2.10000."
+    assert len({value("12.3fa2", n) for n in range(1, 10001)}) == 10000
+
+
 # values at the edges of what a converter must reject, drawn often
 edge_values = st.sampled_from([None, True, -1, 2**70, -0.5, 1e308, math.inf, math.nan, "",
                                "\u0100", [], {}, [1], {"": 0}])
