@@ -395,8 +395,13 @@ class Node:
         return self._arm_batch(now)
 
     def _arm_batch(self, now: int) -> list[Output]:
+        """Seal the open batch at once when every proposed slot has
+        committed; behind a slot in flight, wait `batch_interval` so the
+        writes that arrive meanwhile share the next slot (Nagle's rule)."""
         if self.batch_armed or not self.open_batch or not self.leader_ready:
             return []
+        if self.log.commit_prefix + 1 >= self.next_slot:
+            return self._seal_batch(now)
         self.batch_armed = True
         return [ArmTimer(("batch",), now + self.cfg.batch_interval)]
 
@@ -642,8 +647,10 @@ class Node:
         s = self.log.slots.get(idx)
         value = self._read_at(s, cmd.key)
         if value is HELD:
-            self._count("reads_held")
-            s.pending_reads.append((cmd, want_roster))
+            # a reissue of a read already held here is answered with it
+            if not any(c.seq == cmd.seq and c.client == cmd.client for c, _ in s.pending_reads):
+                self._count("reads_held")
+                s.pending_reads.append((cmd, want_roster))
             return []
         self._count("reads_local")
         return [self._reply(cmd, value, want_roster, (cmd.key, idx or self.log.snap_upto))]

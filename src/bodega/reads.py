@@ -169,12 +169,14 @@ class ClientSession:
     started: int
     patience: int = 30_000_000  # give up entirely after this long
     contacted: list[NodeId] = field(default_factory=list)
-    redirects: int = 0
+    redirects: int = 0  # redirects followed since the last timer round
+    sent_at: int = 0  # when the latest request went out
     done: bool = False
 
-    def _send(self, target: NodeId, fresh: bool) -> ClientSend:
+    def _send(self, target: NodeId, fresh: bool, now: int) -> ClientSend:
         """Contact `target`: the request as the node receives it."""
         self.contacted.append(target)
+        self.sent_at = now
         cache = self.cache
         return ClientSend(target, ClientRequest(self.cmd, cache.site, cache.wants_roster(), fresh))
 
@@ -184,7 +186,8 @@ class ClientSession:
             if self.cmd.is_write()
             else self.cache.preference_order(self.cmd.key)[0]
         )
-        return [self._send(target, True), ClientArm(self.cache.unhold_after(self.started))]
+        return [self._send(target, True, self.started),
+                ClientArm(self.cache.unhold_after(self.started))]
 
     def _next_target(self) -> NodeId | None:
         for c in self.cache.preference_order(self.cmd.key):
@@ -214,9 +217,10 @@ class ClientSession:
         if nxt is None:
             self.contacted = [self.contacted[-1]]
             nxt = self._next_target()
+        self.redirects = 0
         out = []
         if nxt is not None:
-            out.append(self._send(nxt, False))
+            out.append(self._send(nxt, False, now))
         out.append(ClientArm(self.cache.unhold_after(now)))
         return out
 
@@ -241,9 +245,9 @@ class ClientSession:
             if self.redirects > 2 * self.cache.n:
                 self.done = True
                 return [ClientDone("redirected", None)]
-            return [self._send(msg.target, False), ClientArm(self.cache.unhold_after(now))]
+            return [self._send(msg.target, False, now), ClientArm(self.cache.unhold_after(now))]
         self.done = True
         if self.cmd.is_write() and self.cache.roster is not None and self.contacted:
             if self.contacted[-1] == self.cache.roster.leader:
-                self.cache.leader_rtt = now - self.started
+                self.cache.leader_rtt = now - self.sent_at
         return [ClientDone("ok", msg.value if t is ClientReadReply else None)]

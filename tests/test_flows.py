@@ -2,12 +2,16 @@
 cases, holding and release, roster changes, failures, and catch-up."""
 import json
 
+import pytest
+
 from bodega.events import Send
 from bodega.lincheck import check
 from bodega.messages import CatchUpReply
 from bodega.model import Ballot
 from bodega.sim.harness import Simulation, inject_interfering_write, run_scenario
 from bodega.sim.scenario import scenario_from_dict
+
+from .support import random_fault_scenario
 
 
 def sym(n, rtt_ms):
@@ -372,3 +376,16 @@ def test_dedup_state_stays_one_entry_per_client_over_a_long_run():
     for node in res.nodes:
         assert node.counters["snapshots"] > 100
         assert len(node.log.sessions) <= 10 and len(node.log.rid_index) <= 10
+
+
+# c01's generator seeds on which clients gave ops up ("timeout" or
+# "redirected") when `leader_rtt` took in a failover wait and redirects
+# counted across timer rounds
+RETRY_POLICY_SEEDS = [7, 12, 50, 58, 72, 74, 112, 148, 174, 178, 180]
+
+
+@pytest.mark.parametrize("seed", RETRY_POLICY_SEEDS)
+def test_randomized_fault_seeds_that_lost_ops_to_the_retry_policy(seed):
+    res = run_scenario(random_fault_scenario(seed), seed=seed, monitors=True)
+    assert [r.request_id for r in res.history if r.outcome != "ok"] == []
+    assert res.violations == [] and lin_ok(res)

@@ -207,9 +207,9 @@ def test_explorer_threshold_mutant_violation_is_pinned():
     assert cfg.label() == "resp=[] change=True delayed=[1, 4]"
     assert _one_run(cfg, frozenset({"stable_no_thresh"})) == [
         "linearizability: key 'x' has no legal linearization; minimal sub-history:\n"
-        "  put(x)='1' invoke=150000 response=191500\n"
+        "  put(x)='1' invoke=150000 response=190500\n"
         "  get(x) invoke=250000 response=250500\n"
-        "  put(x)='2' invoke=251500 response=293000"
+        "  put(x)='2' invoke=251500 response=292000"
     ]
 
 

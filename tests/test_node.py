@@ -1,9 +1,17 @@
 """Node-level tests of the core's own steps, driven through `Node.handle`."""
 import pytest
 
-from bodega.events import ClientRequest, Deliver, Send
+from bodega.events import ArmTimer, ClientRequest, Deliver, Reply, Send, TimerFire
 from bodega.log import SlotStatus
-from bodega.messages import CatchUpReply, CatchUpRequest, Commit, Heartbeat
+from bodega.messages import (
+    Accept,
+    AcceptReply,
+    CatchUpReply,
+    CatchUpRequest,
+    ClientReadReply,
+    Commit,
+    Heartbeat,
+)
 from bodega.model import Ballot, ClusterConfig, Command, full_range_roster
 from bodega.node import MAX_CATCHUP_BATCH, Node
 
@@ -75,3 +83,49 @@ def test_a_read_held_again_on_a_later_slot_is_dispatched_once():
     assert node._redispatch_pending(NOW) == []
     assert [len(s.pending_reads) for s in node.log.slots.values()] == [0, 1]
     assert node.counters["reads_held"] == 2  # once on arrival, once in the pass
+
+
+def _put(client: str, value: bytes) -> ClientRequest:
+    return ClientRequest(Command("put", b"k", value, client, 1))
+
+
+def test_an_idle_leader_proposes_at_once_and_batches_behind_a_slot_in_flight():
+    """With every proposed slot committed, a put goes out in its own slot
+    with no batch timer; puts that arrive while that slot is in flight wait
+    for the timer and share the next slot. Once both slots commit, the
+    leader is idle again and the next put goes out at once."""
+    cfg = ClusterConfig(n=3)
+    node = Node(0, cfg)
+    node.bal, node.ros, node.leader_ready = B1, full_range_roster(0, {1}), True
+    a = _put("a", b"1")
+    assert node.handle(a, NOW) == [Send(p, Accept(B1, 1, (a.cmd,))) for p in range(3)]
+    b, c = _put("b", b"2"), _put("c", b"3")
+    assert node.handle(b, NOW + 10) == [ArmTimer(("batch",), NOW + 10 + cfg.batch_interval)]
+    assert node.handle(c, NOW + 20) == []
+    fire = NOW + 10 + cfg.batch_interval
+    assert node.handle(TimerFire(("batch",)), fire) == [
+        Send(p, Accept(B1, 2, (b.cmd, c.cmd))) for p in range(3)]
+    for slot, batch in ((1, (a.cmd,)), (2, (b.cmd, c.cmd))):
+        node.handle(Deliver(0, Accept(B1, slot, batch)), fire)  # its own send
+        for frm in (0, 1):
+            node.handle(Deliver(frm, AcceptReply(B1, slot)), fire)
+    assert node.log.commit_prefix == 2
+    d = _put("d", b"4")
+    assert node.handle(d, fire + 10) == [Send(p, Accept(B1, 3, (d.cmd,))) for p in range(3)]
+    assert not node.batch_armed
+
+
+def test_a_reissued_held_read_is_held_and_answered_once():
+    """A client's reissue of a read the responder already holds on a slot
+    is not held a second time: the slot's commit answers it once."""
+    node = Node(1, ClusterConfig(n=3))
+    node.bal, node.ros = B1, full_range_roster(0, {1})
+    node.leases.endowed.update({0: NOW * 2, 1: NOW * 2})
+    node.log.record_accept(1, B1, (Command("put", b"k", b"a", "w1", 1),))
+    get = Command("get", b"k", None, "c", 1)
+    assert node.handle(ClientRequest(get), NOW) == []
+    assert node.handle(ClientRequest(get, fresh=False), NOW + 1) == []
+    assert len(node.log.slots[1].pending_reads) == 1
+    assert node.counters["reads_held"] == 1
+    outs = node.handle(Deliver(0, Commit(B1, (1,))), NOW + 2)
+    assert [o.msg for o in outs if type(o) is Reply] == [ClientReadReply(1, b"a", B1, None)]

@@ -1,13 +1,17 @@
-"""The responder's per-slot read rule, `reads.read_at`: one case per branch.
+"""The read path's pure parts: the responder's per-slot read rule,
+`reads.read_at`, one case per branch, and the client session's retry
+bookkeeping.
 
-Five nodes (majority 3), leader 0, responders {1, 2} for every key. Each
-case builds a log and asks what slot `at` lets a responder serve for b"k".
+For `read_at`: five nodes (majority 3), leader 0, responders {1, 2} for
+every key. Each case builds a log and asks what slot `at` lets a responder
+serve for b"k".
 """
 import pytest
 
 from bodega.log import ConsensusLog
+from bodega.messages import ClientRedirect, ClientWriteReply
 from bodega.model import Ballot, Command, full_range_roster
-from bodega.reads import HELD, read_at
+from bodega.reads import HELD, ClientCache, ClientDone, ClientSend, ClientSession, read_at
 
 B1 = Ballot(1, 0)
 ROSTER = full_range_roster(0, {1, 2})
@@ -62,3 +66,42 @@ CASES = {
 def test_read_at(name):
     (log, s), early_notes, want = CASES[name]
     assert read_at(s, b"k", log, B1, ROSTER, MAJORITY, early_notes) == want
+
+
+def _write_session():
+    """A put from site 1 of three nodes, whose cached roster names leader 0."""
+    cache = ClientCache(site=1, n=3)
+    cache.learn(B1, full_range_roster(0, {2}))
+    return cache, ClientSession(cache, Command("put", b"k", b"v", "w1", 1), started=0)
+
+
+def test_a_write_answered_after_a_failover_wait_sets_leader_rtt_to_one_round_trip():
+    """Leader 0 stays silent; on the timer node 1 redirects the put to the
+    new leader 2, which answers 1 ms after the put reached it. The 50 ms
+    spent waiting on node 0 is no part of the leader's round trip."""
+    cache, sess = _write_session()
+    assert sess.begin()[0].target == 0
+    assert sess.on_timer(50_000)[0].target == 1
+    b2 = Ballot(2, 2)
+    outs = sess.on_msg(ClientRedirect(1, 2, b2, full_range_roster(2, {1})), 50_400)
+    assert outs[0].target == 2
+    assert sess.on_msg(ClientWriteReply(1, b2), 51_400) == [ClientDone("ok", None)]
+    assert cache.leader_rtt == 1_000
+
+
+def test_redirects_are_capped_per_timer_round_not_per_op():
+    """Each timer round the session tries one node, which redirects it to a
+    node it has not tried this round. Over ten rounds it follows more than
+    the 2n redirects one round may take, and the put still completes."""
+    cache, sess = _write_session()
+    sess.begin()
+    now, followed = 0, 0
+    for _ in range(10):
+        now += 60_000
+        sess.on_timer(now)
+        target = next(p for p in range(cache.n) if p not in sess.contacted)
+        outs = sess.on_msg(ClientRedirect(1, target, B1), now)
+        assert [type(o) for o in outs][0] is ClientSend and not sess.done
+        followed += 1
+    assert followed > 2 * cache.n
+    assert sess.on_msg(ClientWriteReply(1, B1), now) == [ClientDone("ok", None)]

@@ -737,6 +737,32 @@ def test_kv_client_reconnects_a_connection_the_node_closed():
     asyncio.run(main())
 
 
+def test_sequential_puts_to_an_idle_leader_never_arm_the_batch_timer():
+    """One client's puts reach the leader one at a time, each after the
+    previous one committed, so the leader proposes each at once: its
+    daemon never holds a ("batch",) timer."""
+    async def main():
+        daemons, addrs = await _serving_cluster()
+        leader = daemons[0]
+        armed = []
+
+        def arm(key, deadline, inner=leader._arm):
+            armed.append(key)
+            inner(key, deadline)
+        leader._arm = arm
+        try:
+            cli = KvClient(addrs, site=1, cid="p1", op_timeout_s=5.0)
+            for n in range(50):
+                assert (await cli.put(b"k%d" % (n % 3), b"v%d" % n))[0] == "ok"
+            await cli.close()
+        finally:
+            await _stop_cluster(daemons)
+        assert ("batch",) not in armed
+        assert leader.node.counters["proposals"] >= 50
+
+    asyncio.run(main())
+
+
 def test_kv_client_ops_start_no_task_and_close_leaves_nothing():
     """The client's I/O is protocol callbacks and one future per wait:
     200 ops create no asyncio Task, each wait cancels its timer, and

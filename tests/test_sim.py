@@ -249,12 +249,12 @@ MONITOR_CASES = {
                   "stability: two stable ballots at t=117648: [(0, 0), (1, 0)]"),
     "commit_ballot": (ISOLATE_1, _isolated_and_always_stable,
                       "commit ballot: slot 1 committed at (1, 0) while node 1 is stable at (0, 0)"
-                      " (t=521910)"),
+                      " (t=520888)"),
     "agreement": ([], lambda sim: _forge(sim, 3, accepts=True),
                   "agreement: slot 1 executed differently at node 3"),
     "read_value": ([], lambda sim: _forge(sim, 3, accepts=False),
                    "read value: node 3 served b'k0000005'=b'forged' at slot 6, which executes to"
-                   " b'v.w0.0.17.xxxxxx' (t=592489)"),
+                   " b'v.w0.0.17.xxxxxx' (t=590446)"),
 }
 
 
@@ -296,23 +296,23 @@ def test_all_stable_is_recorded_at_the_first_node_event_after_a_crash():
 # and says why.
 RECORDED_TRACES = {
     "rand3": (lambda: random_fault_scenario(3), 3,
-              "c49d3d5f34743d73550631569347335b18a3da15c334161594d1297311b26b71",
-              "37cc2a9f31a2cef10189d87c6a48e6f7c1b941a89fa49ccadedf7dda77c65423"),
+              "7c6dc887805d01f847d32fce9907433f8fceb3adbd41197c2a4a444c76933b9d",
+              "d62ccb4e42c35feb4de2c1b11e66f206713d680ab8f9568dbf6b6366b705a8b3"),
     "rand97": (lambda: random_fault_scenario(97), 97,
-               "b1eb5e3833af7051e7790678bb2525c5396845b611be91912e8c17923ad4e099",
-               "2f7d09089ee5727daa0541ec0576a17dfc04d1322b1b9dfd878c84dd339756ce"),
+               "9b85ce5936c1e0057c756cce3ab2e5ffd7df1e2754d519bba64e210c7eab3fc7",
+               "37eff18d0c7a6a07fca608b89ffcced6f05392ec757ac4e89eb5fe30e7f5fb1f"),
     "rand179": (lambda: random_fault_scenario(179), 179,
-                "c8c1c220fe49882ad26d3c88c283d1930faff44db1d2b4b9ee70b8a4ed621695",
-                "b2301a047fcb86e53901c03645243956b3277527476aa18dba46b2656ba91452"),
+                "f4de48d901768ff09486123f64c989f662ed480fefb113a3c4fe5bb7a426afb0",
+                "d7d5bf777ea30136bf0f59513db5f091b62b79b11902f8412b9d838cbb068462"),
     "geo10": (lambda: geo_scenario(0.10), 31,
-              "e721d40097f8300ef7e7be955c79e05b436e67ae1861d08418a225815e7d9864",
-              "82b5379afc1a6515509b2efde6198f184da9d96e620f7b03fbe20da55364caeb"),
+              "d236d35bd3a324c82ebb196c82912c2355b0085aa455d2655027b4bfd3d96140",
+              "dd857d8c0b71cd604a21b769059c6e9094e71cec8d288c15800dd55746e72b74"),
     "crash_leader": (lambda: load_scenario("scenarios/crash_leader.json"), 7,
-                     "9660b1782193caa6d163cd6a9c3be92b3a7965fbaaba097b30336a4c349877cc",
-                     "17ddf698608cb6f01e27143257c1e73d25f2a21fff367083ef9d8ac65167d240"),
+                     "eb0cdcfe5081a40283bc05ad1d1a6ca97c7b336ae0c4f8752a5995012c9a7a2f",
+                     "fe059cdd41dd0bdb807c94481118684beb6d795eb5c4c3ef3d38c88dfcc5ed37"),
     "zipf_open": (lambda: scenario_from_dict(ZIPF_OPEN), 5,
-                  "7796ccc707b28ab3d59213cb5cee972707e5ef7c8a5334f1d8097e2cc6c975a4",
-                  "99459fe3f0b470a205a37fd3a2d1db7a6b719841dc1b22c304c35d5988f6682e"),
+                  "94ad17e869a569e6a76765a7f9c38fca92072e74e6fbbd58025221b3daa87b3c",
+                  "dd132aea7726960fb33c0c62dcd729bb972ecfb417dfa235c9a858abb3be5c97"),
 }
 
 

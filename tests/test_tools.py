@@ -1,5 +1,7 @@
 """The scripts under tools/, on fixed inputs: no benchmark runs here."""
+import hashlib
 import importlib.util
+import json
 import os
 
 import pytest
@@ -41,3 +43,17 @@ def test_bench_pairs_summary_on_fixed_numbers():
     one = bp.summarize([({"m": 2.0}, {"m": 3.0})], {"m": "higher"})[0]
     assert one["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0} and one["wins"] == 1
     assert "read_p50_ms" in bp.format_rows(list(rows.values()))
+
+
+def test_sim_digest_counts_failed_ops_by_seed(capsys):
+    """Seed 6 keeps a roster naming a crashed node and loses 10 ops; seed 7
+    loses none. The counts ride beside the digest, which they leave alone."""
+    sd = _tool("sim_digest")
+    assert sd.main(["--seeds", "6-7"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["failed_ops"], out["failed_seeds"]) == (10, {"6": 10})
+    run = sd._seed_runner(os.path.join(sd.ROOT, "src"), 0)
+    digest = hashlib.sha256()
+    for seed in (6, 7):
+        digest.update(run(seed)[0])
+    assert out["digest"] == digest.hexdigest()

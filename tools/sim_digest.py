@@ -8,7 +8,9 @@ lincheck over its history, for every seed in A-B (default 0-99), as c01
 does. Prints one JSON object: a SHA-256 over every run's history rows
 (every `OpRecord` field), metrics and violations, lincheck's included, and
 the CPU seconds spent in all: `run_cpu_s` running the simulations and
-`check_cpu_s` in lincheck, and their sum `cpu_s`.
+`check_cpu_s` in lincheck, and their sum `cpu_s`. It also counts the ops
+that did not end `ok`: `failed_ops` in all, and `failed_seeds`, each seed
+that lost any mapped to how many.
 
 `--src` picks the checkout whose `bodega` is run (default: this one), so
 the same script compares two versions: a change that must keep the
@@ -19,8 +21,8 @@ in its own worker process (two in all), and every seed runs on both sides
 in turn, the side that goes first alternating from seed to seed, so the
 host's drift over a run falls on both sides alike. It prints both digests,
 which must match (the exit status is 1 when they do not), both sides' CPU
-totals, and the median over the seeds of the per-seed CPU ratio `--src` /
-OTHER: of the whole (`median_cpu_ratio`), of the runs alone
+totals and failed ops, and the median over the seeds of the per-seed CPU
+ratio `--src` / OTHER: of the whole (`median_cpu_ratio`), of the runs alone
 (`median_run_cpu_ratio`) and of lincheck alone (`median_check_cpu_ratio`).
 
 `--snapshot-every K` sets `config.snapshot_every` on every generated
@@ -44,15 +46,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _seed_runner(src: str, snapshot_every: int):
     """A function that runs one seed on the `bodega` under `src` and returns
-    the bytes it adds to the digest and the CPU seconds of its run and of
-    its check."""
+    the bytes it adds to the digest, the CPU seconds of its run and of its
+    check, and the number of its ops that did not end `ok`."""
     sys.path.insert(0, ROOT)
     sys.path.insert(0, os.path.abspath(src))
     from bodega.lincheck import check
     from bodega.sim.harness import run_scenario
     from tests.support import op_row, random_fault_scenario
 
-    def run(seed: int) -> tuple[bytes, tuple[float, float]]:
+    def run(seed: int) -> tuple[bytes, tuple[float, float], int]:
         sc = random_fault_scenario(seed)
         sc.config.snapshot_every = snapshot_every
         c0 = time.process_time()
@@ -64,7 +66,7 @@ def _seed_runner(src: str, snapshot_every: int):
         blob = b"".join(op_row(r).encode() + b"\n" for r in res.history)
         blob += json.dumps(res.metrics, sort_keys=True).encode() + b"\n"
         blob += json.dumps(violations).encode() + b"\n"
-        return blob, cpu
+        return blob, cpu, sum(r.outcome != "ok" for r in res.history)
 
     return run
 
@@ -76,11 +78,13 @@ def _worker(src: str, snapshot_every: int, conn) -> None:
         conn.send(run(seed))
 
 
-def _cpu(cpus: list[tuple[float, float]]) -> dict[str, float]:
-    """CPU totals over the seeds from their (run, check) seconds."""
+def _totals(seeds: range, cpus: list[tuple[float, float]], failed: list[int]) -> dict:
+    """CPU totals over the seeds from their (run, check) seconds, and
+    their failed ops."""
     run, chk = sum(c[0] for c in cpus), sum(c[1] for c in cpus)
     return {"cpu_s": round(run + chk, 2), "run_cpu_s": round(run, 2),
-            "check_cpu_s": round(chk, 3)}
+            "check_cpu_s": round(chk, 3), "failed_ops": sum(failed),
+            "failed_seeds": {str(s): f for s, f in zip(seeds, failed) if f}}
 
 
 def _median_ratio(a: list[float], b: list[float]) -> float:
@@ -94,23 +98,25 @@ def _against(args, seeds: range) -> int:
         parent, child = ctx.Pipe()
         proc = ctx.Process(target=_worker, args=(src, args.snapshot_every, child))
         proc.start()
-        sides.append((parent, proc, hashlib.sha256(), []))
+        sides.append((parent, proc, hashlib.sha256(), [], []))
     try:
         for i, seed in enumerate(seeds):
             order = sides if i % 2 == 0 else sides[::-1]
-            for conn, _proc, digest, cpus in order:
+            for conn, _proc, digest, cpus, failed in order:
                 conn.send(seed)
-                blob, cpu = conn.recv()
+                blob, cpu, f = conn.recv()
                 digest.update(blob)
                 cpus.append(cpu)
+                failed.append(f)
     finally:
-        for conn, proc, _digest, _cpus in sides:
+        for conn, proc, *_ in sides:
             conn.send(None)
             proc.join(timeout=60)
-    (_, _, da, ca), (_, _, db, cb) = sides
+    (_, _, da, ca, fa), (_, _, db, cb, fb) = sides
     out = {"seeds": f"{seeds.start}-{seeds.stop - 1}",
-           "src": {"path": args.src, "digest": da.hexdigest(), **_cpu(ca)},
-           "against": {"path": args.against, "digest": db.hexdigest(), **_cpu(cb)},
+           "src": {"path": args.src, "digest": da.hexdigest(), **_totals(seeds, ca, fa)},
+           "against": {"path": args.against, "digest": db.hexdigest(),
+                       **_totals(seeds, cb, fb)},
            "median_cpu_ratio": _median_ratio([sum(c) for c in ca], [sum(c) for c in cb]),
            "median_run_cpu_ratio": _median_ratio([c[0] for c in ca], [c[0] for c in cb]),
            "median_check_cpu_ratio": _median_ratio([c[1] for c in ca], [c[1] for c in cb])}
@@ -133,12 +139,14 @@ def main(argv=None) -> int:
         return _against(args, seeds)
     run = _seed_runner(args.src, args.snapshot_every)
     digest = hashlib.sha256()
-    cpus = []
+    cpus, failed = [], []
     for seed in seeds:
-        blob, c = run(seed)
+        blob, c, f = run(seed)
         digest.update(blob)
         cpus.append(c)
-    print(json.dumps({"seeds": f"{lo}-{hi}", "digest": digest.hexdigest(), **_cpu(cpus)}))
+        failed.append(f)
+    print(json.dumps({"seeds": f"{lo}-{hi}", "digest": digest.hexdigest(),
+                      **_totals(seeds, cpus, failed)}))
     return 0
 
 
