@@ -11,7 +11,6 @@ from .model import (
     Roster,
     full_range_roster,
     next_ballot,
-    responders_of,
     validate_roster,
 )
 from .node import Node
@@ -29,7 +28,6 @@ __all__ = [
     "Roster",
     "full_range_roster",
     "next_ballot",
-    "responders_of",
     "validate_roster",
     "__version__",
 ]

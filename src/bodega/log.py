@@ -109,6 +109,8 @@ class ConsensusLog:
                 i = bisect.bisect_left(lst, s.index)
                 if i < len(lst) and lst[i] == s.index:
                     del lst[i]
+                    if not lst:
+                        del self.key_index[key]
 
     def _unindex_requests(self, s: LogSlot) -> None:
         for cmd in s.batch:

@@ -5,6 +5,7 @@ deadlines are integer microseconds on some node's local clock.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -99,9 +100,29 @@ class Roster:
 
     leader: NodeId | None = None
     responder_map: tuple[tuple[KeyRange, frozenset[NodeId]], ...] = ()
+    # built once from the two fields above: the first key of each stretch
+    # of keys that share one answer of `responders_of`, and that answer;
+    # of two equal starts, the later one holds
+    _lookup: tuple[tuple[bytes, ...], tuple[frozenset[NodeId], ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        lead = frozenset() if self.leader is None else frozenset((self.leader,))
+        starts, sets = [b""], [lead]
+        for rng, nodes in self.responder_map:
+            starts.append(rng.lo)
+            sets.append(nodes | lead)
+            if rng.hi is not None:
+                starts.append(rng.hi)
+                sets.append(lead)
+        object.__setattr__(self, "_lookup", (tuple(starts), tuple(sets)))
 
     def responders_of(self, key: bytes) -> frozenset[NodeId]:
-        return responders_of(self, key)
+        """All nodes expected to serve reads on `key` locally: the responder
+        set of the range holding the key, plus the leader when one is set;
+        the empty roster yields the empty set."""
+        starts, sets = self._lookup
+        return sets[bisect.bisect_right(starts, key) - 1]
 
     def special_nodes(self) -> frozenset[NodeId]:
         """Nodes holding any role: the leader or a member of any responder set."""
@@ -162,23 +183,6 @@ EMPTY_ROSTER = Roster()
 def full_range_roster(leader: NodeId, responders: set[NodeId] | frozenset[NodeId]) -> Roster:
     """Roster covering the whole keyspace with one responder set."""
     return Roster(leader, ((KeyRange(b"", None), frozenset(responders)),))
-
-
-def responders_of(roster: Roster, key: bytes) -> frozenset[NodeId]:
-    """All nodes expected to serve reads on `key` locally.
-
-    Union of the responder sets of ranges containing the key, plus the leader
-    when one is set; the empty roster yields the empty set.
-    """
-    out: set[NodeId] = set()
-    for rng, nodes in roster.responder_map:
-        if rng.lo > key:
-            break
-        if rng.contains(key):
-            out |= nodes
-    if roster.leader is not None:
-        out.add(roster.leader)
-    return frozenset(out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -95,7 +95,7 @@ class Node:
         self.log = ConsensusLog()
         self.fd = FailureDetector(me, cfg.n, cfg.t_hb_fail, cfg.hb_fail_jitter, seed)
         self.peer_view = PeerRosterView(cfg.n)
-        self.stats = KeyStats()
+        self.stats = KeyStats()  # the current tune window's; kept only while the tuner runs
         self.peer_stats: dict[NodeId, tuple] = {}
         # roster adoption in flight: target (ballot, roster); adopted once the
         # revocation of the current ballot's grants has fully drained
@@ -108,19 +108,11 @@ class Node:
         # (client, seq) -> want_roster of the requests awaiting execution here
         self.pending_client_reqs: dict[tuple[str, int], bool] = {}
         self.counters: dict[str, int] = {}
-        self._resp_cache: dict[bytes, frozenset[NodeId]] = {}
 
     # ------------------------------------------------------------------ util
 
     def _count(self, what: str) -> None:
         self.counters[what] = self.counters.get(what, 0) + 1
-
-    def _responders(self, key: bytes) -> frozenset[NodeId]:
-        r = self._resp_cache.get(key)
-        if r is None:
-            r = self.ros.responders_of(key)
-            self._resp_cache[key] = r
-        return r
 
     def is_stable(self) -> bool:
         return self.leases.is_stable(self.log.commit_prefix, self._no_thresh)
@@ -267,7 +259,6 @@ class Node:
         out: list[Output] = self.leases.reset_for_new_ballot()
         self.bal = new_bal
         self.ros = new_ros
-        self._resp_cache = {}
         if self.promised < new_bal:
             self.promised = new_bal
         self.leader_ready = False
@@ -372,7 +363,7 @@ class Node:
         write = cmd.is_write()
         if write and not self.is_leader():
             return [self._to_leader(cmd)]
-        if req.fresh and req.preferred >= 0:
+        if req.fresh and req.preferred >= 0 and self.cfg.auto_tune:
             self.stats.record(cmd.key, req.preferred, write)
         if write:
             return self._enqueue(cmd, req.want_roster, now)
@@ -440,7 +431,7 @@ class Node:
             if self.cfg.early_accept_notes:
                 targets: set[NodeId] = set()
                 for key in s.keys:
-                    targets |= self._responders(key)
+                    targets |= self.ros.responders_of(key)
                 targets.discard(frm)
                 targets.discard(self.me)
                 if targets:
@@ -455,7 +446,7 @@ class Node:
             return False
         if "commit_no_responder_coverage" in self.mutations:
             return True
-        return all(self._responders(key) <= s.accept_replies for key in s.keys)
+        return all(self.ros.responders_of(key) <= s.accept_replies for key in s.keys)
 
     def _on_accept_reply(self, frm: NodeId, msg: AcceptReply, now: int) -> list[Output]:
         if msg.higher is not None:
@@ -636,7 +627,7 @@ class Node:
         """A stable responder serves or holds the read (`read_at`); any
         other node redirects it to the leader, and the leader takes it
         through the log as if it were a write."""
-        if not self.is_stable() or self.me not in self._responders(cmd.key):
+        if not self.is_stable() or self.me not in self.ros.responders_of(cmd.key):
             if not self.is_leader():
                 if self.ros.leader is not None:
                     self._count("reads_redirected")

@@ -31,7 +31,7 @@ async def _client_task(cid: str, site: int, addrs: list[str], w: Workload, ops: 
     period = int(1_000_000 / w.open_rate_per_s) if w.open_rate_per_s > 0 else 0
     due = begin
     n = 0
-    name = cid.partition(".")[2]  # values leave out the site, to stay distinct within value_len
+    name = cid.partition(".")[2]  # values leave out the site, to fit value_len
     try:
         while (now := loop_us()) < stop_at and due < stop_at:
             if due > now:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from ..model import (
     ClusterConfig, Roster, SettingError, cluster_config_from_dict, convert, count, fraction, listed,
-    ms_to_us, read_settings, section,
+    ms_to_us, read_settings, section, validate_roster,
 )
 from ..workload import Workload, workload_from_dict
 
@@ -136,6 +136,13 @@ def _node_id(node: int, n: int, key: str) -> int:
     return node
 
 
+def _valid_roster(roster: Roster, n: int, key: str) -> Roster:
+    bad = validate_roster(roster, n)
+    if bad is not None:
+        raise SettingError(f"{key}.{bad.field}", bad.reason)
+    return roster
+
+
 def _scenario(d: dict) -> Scenario:
     kw = read_settings(d, _SCENARIO_KEYS)
     n = kw.get("n", 0)
@@ -151,7 +158,7 @@ def _scenario(d: dict) -> Scenario:
     if kw.get("drift_window_us") == 0:
         raise SettingError("drift.window_ms", "must be positive")
     if (init := kw.pop("initial", None)) is not None:
-        kw["initial_roster"] = init.pop("roster")
+        kw["initial_roster"] = _valid_roster(init.pop("roster"), n, "initial_roster")
         kw.update(init)
         _node_id(kw.get("initial_announcer", 0), n, "initial_roster.announcer")
     kw["workload"] = convert("workload", workload_from_dict, kw.get("workload", {}), n)
@@ -172,6 +179,7 @@ def _scenario(d: dict) -> Scenario:
             script.append(ScriptEvent(at, kind, groups=groups, heal_at=body.get("heal_at", 0)))
         elif kind == "roster_set":
             body["node"] = _node_id(body.get("node", 0), n, f"{key}.to_node")
+            _valid_roster(body["roster"], n, key)
             script.append(ScriptEvent(at, kind, **body))
         else:
             if "key" not in body:

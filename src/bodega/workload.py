@@ -111,7 +111,8 @@ def workload_from_dict(d: dict, n: int) -> Workload:
 class OpGen:
     """Draws a client's next op: the key first, then the write coin. A
     put's value names the client and its op number, padded to
-    `value_len`."""
+    `value_len` but never cut, so no two puts of one client write one
+    value."""
 
     def __init__(self, keys: int, key_len: int, value_len: int, write_ratio: float,
                  zipf_theta: float) -> None:
@@ -127,7 +128,7 @@ class OpGen:
         else:
             key = self.keys[zipf_pick(rng, self.cdf)]
         if rng.random() < self.write_ratio:
-            return key, (f"v.{cid}.{n}.".encode() + b"x" * self.value_len)[: self.value_len]
+            return key, f"v.{cid}.{n}.".encode().ljust(self.value_len, b"x")
         return key, None
 
 

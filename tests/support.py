@@ -108,3 +108,16 @@ def entry_paths(d, path: tuple = ()) -> list[tuple]:
         out.append(path + (k,))
         out += entry_paths(v, path + (k,))
     return out
+
+
+def tuned_geo5() -> Scenario:
+    """geo5 with the auto-tuner on, one-second tune windows and no
+    responders at first: three clients at site 1 and one at site 2, 2%
+    writes, 6 s of load."""
+    with open("scenarios/geo5.json", encoding="utf-8") as f:
+        d = json.load(f)
+    d["config"].update(auto_tune=True, tune_window_ms=1000)
+    d["initial_roster"]["ranges"] = [{"lo": "", "hi": None, "responders": []}]
+    d["workload"].update(duration_ms=6000, write_ratio=0.02,
+                         clients=[{"site": 1, "count": 3}, {"site": 2, "count": 1}])
+    return scenario_from_dict(d)

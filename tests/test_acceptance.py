@@ -193,7 +193,6 @@ def test_c06_commit_condition_conformance():
         for resp_mask in range(2 ** n):
             responders = frozenset(p for p in range(n) if resp_mask >> p & 1)
             node.ros = full_range_roster(0, responders)
-            node._resp_cache = {}
             want_resp = responders | {0}  # the leader is an implicit responder
             for reply_mask in range(2 ** n):
                 replies = {p for p in range(n) if reply_mask >> p & 1}

@@ -4,6 +4,8 @@ import json
 from bodega import lincheck
 from bodega.cli import bench_main, bodegad_main, ctl_main, lincheck_main, sim_main
 
+from .support import with_entry
+
 
 def test_sim_run_writes_outputs(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
@@ -28,6 +30,28 @@ def test_sim_run_rejects_bad_scenario(tmp_path, capsys):
     rc = sim_main(["run", str(bad)])
     assert rc == 2
     assert "nodes" in capsys.readouterr().err
+
+
+def test_sim_run_rejects_an_invalid_roster(tmp_path, capsys):
+    """A roster naming a node outside the cluster, or two overlapping
+    ranges, in the initial roster or a scripted roster_set: `sim run` exits
+    2 naming the key path, and runs nothing."""
+    base = json.loads(open("scenarios/crash_leader.json").read())
+    overlap = [{"lo": "", "hi": "m", "responders": [1]},
+               {"lo": "k", "hi": None, "responders": [2]}]
+    change = {"at_ms": 2000, "roster_set": {"to_node": 1, "leader": 1, "ranges": overlap}}
+    for path, value, err in [
+        (("initial_roster", "ranges", 0, "responders"), [0, 9],
+         "initial_roster.ranges[0].responders: node id 9 not in [0, 5)"),
+        (("initial_roster", "ranges"), overlap, "initial_roster.ranges[1]: overlapping ranges"),
+        (("events",), base["events"] + [change],
+         "events[1].roster_set.ranges[1]: overlapping ranges"),
+    ]:
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(with_entry(base, path, value)))
+        assert sim_main(["run", str(f)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"scenario invalid: {err}\n")
 
 
 def test_malformed_settings_files_exit_2_naming_the_key(tmp_path, capsys):

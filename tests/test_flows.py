@@ -1,6 +1,9 @@
 """Cluster-level flows through the simulator: roster activation, the read
 cases, holding and release, roster changes, failures, and catch-up."""
+import dataclasses
+import inspect
 import json
+import re
 
 import pytest
 
@@ -8,10 +11,11 @@ from bodega.events import Send
 from bodega.lincheck import check
 from bodega.messages import CatchUpReply
 from bodega.model import Ballot
+from bodega.node import Node
 from bodega.sim.harness import Simulation, inject_interfering_write, run_scenario
 from bodega.sim.scenario import scenario_from_dict
 
-from .support import random_fault_scenario
+from .support import random_fault_scenario, tuned_geo5
 
 
 def sym(n, rtt_ms):
@@ -376,6 +380,122 @@ def test_dedup_state_stays_one_entry_per_client_over_a_long_run():
     for node in res.nodes:
         assert node.counters["snapshots"] > 100
         assert len(node.log.sessions) <= 10 and len(node.log.rid_index) <= 10
+
+
+# Every dict, set and list field of a node's state, and what bounds its
+# size: the cluster's n, the workload's clients, the ops in flight, the keys
+# in the store, the slots since the last snapshot (and the keys they write),
+# the counter names, or the tune window.
+CENSUS = {
+    "Node.peer_stats": "n",
+    "Node.open_batch": "ops in flight",
+    "Node.pending_client_reqs": "ops in flight",
+    "Node.counters": "counter names",
+    "ConsensusLog.slots": "slots since the last snapshot",
+    "ConsensusLog.kv": "keys in the store",
+    "ConsensusLog.key_index": "keys of those slots",
+    "ConsensusLog.rid_index": "clients",
+    "ConsensusLog.sessions": "clients",
+    "ConsensusLog.snap_kv": "keys in the store",
+    "ConsensusLog.snap_sessions": "clients",
+    "LogSlot.accept_replies": "n",
+    "LogSlot.accept_notes": "n",
+    "LogSlot.pending_reads": "ops in flight",
+    "LeaseEngine.guarding": "n",
+    "LeaseEngine.endowing": "n",
+    "LeaseEngine.guarded": "n",
+    "LeaseEngine.endowed": "n",
+    "LeaseEngine.thresh": "n",
+    "LeaseEngine.unreplied_renew": "n",
+    "LeaseEngine.revoke_waiting": "n",
+    "FailureDetector.factors": "n",
+    "FailureDetector.down": "n",
+    "PeerRosterView.advertised": "n",
+    "KeyStats.counts": "tune window",
+}
+COUNTER_NAMES = set(re.findall(r'_count\("(\w+)"\)', inspect.getsource(Node)))
+
+
+def census(node, bound) -> set[str]:
+    """Check every collection field of `node`'s state against its bound
+    (`bound` maps each kind of bound to a number); returns the fields seen."""
+    seen = set()
+    parts = [node, node.log, node.leases, node.fd, node.peer_view, node.stats]
+    for obj in parts + list(node.log.slots.values()):
+        names = vars(obj) if obj is node else [f.name for f in dataclasses.fields(obj)]
+        for name in names:
+            value = getattr(obj, name)
+            if isinstance(value, (dict, set, list)):
+                field = f"{type(obj).__name__}.{name}"
+                assert field in CENSUS, f"{field} has no bound"
+                limit = bound[CENSUS[field]]
+                assert len(value) <= limit, (node.me, field, len(value), CENSUS[field], limit)
+                seen.add(field)
+    return seen
+
+
+@pytest.mark.parametrize("config", [{}, {"snapshot_every": 5}])
+def test_node_state_stays_within_its_census_bounds(config):
+    """geo5 over 100,000 keys for 16 virtual seconds: from 4.6 s on, every
+    two seconds, each dict, set and list field of every node's state stays
+    within its bound in CENSUS, and a field with none fails. With the tuner
+    off (the default) no key counter is kept, and the key index holds only
+    keys that live slots write. The daemon's `client_seq` and `event_log`
+    are not in the census yet."""
+    with open("scenarios/geo5.json", encoding="utf-8") as f:
+        d = json.load(f)
+    d["config"].update(config)
+    d["workload"].update(keys=100_000, duration_ms=16_000)
+    sc = scenario_from_dict(d)
+    seen = set()
+    checks = []
+
+    class Census(Simulation):
+        next_at = 4_600_000
+
+        def _apply_outputs(self, node_id, outs):
+            super()._apply_outputs(node_id, outs)
+            if self.now < self.next_at:
+                return
+            self.next_at += 2_000_000
+            in_flight = sum(cs.session is not None for cs in self.clients.values())
+            for node in self.nodes:
+                log = node.log
+                bound = {
+                    "n": sc.n,
+                    "clients": len(self.clients),
+                    "ops in flight": in_flight,
+                    "keys in the store": sc.workload.keys,
+                    "slots since the last snapshot": log.highest_accepted - log.snap_upto,
+                    "keys of those slots": len({k for s in log.slots.values() for k in s.keys}),
+                    "counter names": len(COUNTER_NAMES),
+                    "tune window": 0,  # the tuner is off, so no window opens
+                }
+                seen.update(census(node, bound))
+            checks.append(self.now)
+
+    res = Census(sc, seed=1).run()
+    assert len(checks) == 7 and seen == set(CENSUS)
+    assert all(n.counters.get("snapshots", 0) > 100 for n in res.nodes) == bool(config)
+
+
+def test_auto_tuner_adopts_per_key_ranges_and_reads_stay_local():
+    """The auto-tuner end to end: from no responders, with one-second tune
+    windows and reads mostly from sites 1 and 2, the leader proposes
+    rosters of several ranges, every node adopts them, reads are served
+    locally and the history stays linearizable."""
+    rosters = []
+
+    class Recording(Simulation):
+        def _apply_outputs(self, node_id, outs):
+            rosters.append(self.nodes[node_id].ros)
+            super()._apply_outputs(node_id, outs)
+
+    res = Recording(tuned_geo5(), seed=1, monitors=True).run()
+    assert not res.violations and lin_ok(res)
+    assert max(len(r.responder_map) for r in rosters) > 1
+    assert all(n.counters["roster_adopted"] > 2 for n in res.nodes)
+    assert sum(n.counters.get("reads_local", 0) for n in res.nodes) > 0
 
 
 # c01's generator seeds on which clients gave ops up ("timeout" or

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bodega.model import (
     Ballot,
@@ -11,7 +11,6 @@ from bodega.model import (
     cluster_config_from_dict,
     full_range_roster,
     next_ballot,
-    responders_of,
     validate_roster,
 )
 
@@ -57,11 +56,11 @@ def test_distinct_pairs_never_compare_equal(a, b):
 
 def test_responders_full_range_with_leader():
     ros = full_range_roster(0, {2, 3, 4})
-    assert responders_of(ros, b"x") == {0, 2, 3, 4}
+    assert ros.responders_of(b"x") == {0, 2, 3, 4}
 
 
 def test_responders_empty_roster():
-    assert responders_of(EMPTY_ROSTER, b"x") == frozenset()
+    assert EMPTY_ROSTER.responders_of(b"x") == frozenset()
 
 
 def test_responders_range_membership():
@@ -69,16 +68,43 @@ def test_responders_range_membership():
         (KeyRange(b"a", b"c"), frozenset({2})),
         (KeyRange(b"c", b"z"), frozenset({3})),
     ))
-    assert responders_of(ros, b"b") == {1, 2}
-    assert responders_of(ros, b"c") == {1, 3}
+    assert ros.responders_of(b"b") == {1, 2}
+    assert ros.responders_of(b"c") == {1, 3}
     # no range matches: leader only
-    assert responders_of(ros, b"zz") == {1}
+    assert ros.responders_of(b"zz") == {1}
 
 
 @given(st.binary(max_size=4))
 def test_responders_always_contain_leader(key):
     ros = Roster(2, ((KeyRange(b"a", b"m"), frozenset({0, 1})),))
-    assert 2 in responders_of(ros, key)
+    assert 2 in ros.responders_of(key)
+
+
+@st.composite
+def valid_rosters(draw):
+    """A roster that passes `validate_roster` for 7 nodes: ranges between
+    consecutive drawn bounds, adjacent or with gaps, the last one possibly
+    unbounded above; possibly no ranges, and possibly no leader."""
+    bounds = sorted(set(draw(st.lists(st.binary(max_size=3), max_size=8))))
+    ranges = tuple(
+        (KeyRange(lo, hi), draw(st.frozensets(st.integers(0, 6), max_size=4)))
+        for lo, hi in zip(bounds, bounds[1:] + [None]) if draw(st.booleans()))
+    return Roster(draw(st.none() | st.integers(0, 6)), ranges), bounds
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(valid_rosters(), st.lists(st.binary(max_size=4), max_size=4))
+def test_responders_of_is_the_union_of_the_ranges_holding_the_key(drawn, keys):
+    ros, bounds = drawn
+    assert validate_roster(ros, 7) is None
+    near = [b[:-1] + bytes([b[-1] - 1]) + b"\xff" for b in bounds if b and b[-1]]
+    for b in bounds:
+        near += [b, b + b"\x00", b[:-1]]
+    for key in keys + near:
+        want = set().union(*(nodes for rng, nodes in ros.responder_map if rng.contains(key)))
+        if ros.leader is not None:
+            want.add(ros.leader)
+        assert ros.responders_of(key) == want, (ros, key)
 
 
 def test_validate_ok():
@@ -140,3 +166,6 @@ def test_roster_wire_roundtrip():
         (KeyRange(b"c", None), frozenset({3, 4})),
     ))
     assert Roster.from_wire(ros.to_wire()) == ros
+    # the lookup built from the two fields is not a third one
+    assert hash(Roster.from_wire(ros.to_wire())) == hash(ros)
+    assert "_lookup" not in repr(ros)

@@ -92,9 +92,10 @@ def test_a_zipf_theta_the_key_weights_overflow_at_is_rejected():
 
 
 def test_a_put_value_names_its_client_and_op_number():
-    """A put's value is `v.<cid>.<n>.` padded with "x" to `value_len`, so
-    the values bodega-bench's clients (named `<index>.<run token>`) write
-    stay distinct over their first 10^4 ops."""
+    """A put's value is `v.<cid>.<n>.` padded with "x" to `value_len` and
+    never cut, so the values one client writes stay distinct whatever its
+    name's length, and bodega-bench's (named `<index>.<run token>`) over
+    their first 10^4 ops fit the default 16 bytes."""
     ops = OpGen(10, 4, 16, 1.0, 0.0)
 
     def value(cid, n):
@@ -102,6 +103,8 @@ def test_a_put_value_names_its_client_and_op_number():
     assert value("c", 5) == b"v.c.5.xxxxxxxxxx"
     assert value("12.3fa2", 10000) == b"v.12.3fa2.10000."
     assert len({value("12.3fa2", n) for n in range(1, 10001)}) == 10000
+    assert value("b1.0.3fa2", 1000) != value("b1.0.3fa2", 10000)
+    assert value("b1.0.3fa2", 10000) == b"v.b1.0.3fa2.10000."
 
 
 # values at the edges of what a converter must reject, drawn often

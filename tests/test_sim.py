@@ -18,7 +18,7 @@ from bodega.sim.scenario import (
     scenario_from_dict,
 )
 
-from .support import DROP, geo_scenario, op_row, random_fault_scenario, with_entry
+from .support import DROP, geo_scenario, op_row, random_fault_scenario, tuned_geo5, with_entry
 
 SYM20 = {
     "name": "sym20",
@@ -313,6 +313,9 @@ RECORDED_TRACES = {
     "zipf_open": (lambda: scenario_from_dict(ZIPF_OPEN), 5,
                   "94ad17e869a569e6a76765a7f9c38fca92072e74e6fbbd58025221b3daa87b3c",
                   "dd132aea7726960fb33c0c62dcd729bb972ecfb417dfa235c9a858abb3be5c97"),
+    "tuned_geo5": (tuned_geo5, 1,
+                   "a8470546c104630096c50128149c657f8b88bd9b49a1a334225c8d5b491f0f85",
+                   "5884a129b487bd748c22b9c8dfea762ae39d93e4665684f2affded08dc7ea732"),
 }
 
 
