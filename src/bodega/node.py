@@ -52,6 +52,7 @@ from .messages import (
     Revoke,
     RevokeReply,
     StatsReport,
+    from_wire,
 )
 from .model import (
     Ballot,
@@ -170,6 +171,19 @@ class Node:
         if type(event) is OperatorRequest:
             return self._on_operator(event, now)
         raise TypeError(f"unhandled event: {event!r}")
+
+    def replay(self, rows: list[list]) -> str:
+        """Feed a recorded event log through this node, a fresh core, and
+        return its state digest. A row is `[now]`, the node's start, or an
+        event's wire form with the local time in front, `[now, kind_id,
+        field...]`: the daemon's event log, and a simulator trace's rows of
+        one node with the global time and node id taken off."""
+        for row in rows:
+            if len(row) == 1:
+                self.start(row[0])
+            else:
+                self.handle(from_wire(row, 1), row[0])
+        return self.state_digest()
 
     # lease messages: the engine answers for the current ballot
 

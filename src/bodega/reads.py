@@ -104,8 +104,8 @@ class ClientCache:
     bal: Ballot | None = None
     roster_stale: bool = False  # a newer ballot was seen without its roster
     leader_rtt: int = 0  # latest observed leader round trip
-    # key -> preference_order(key) under the cached roster
-    orders: dict[bytes, list[NodeId]] = field(default_factory=dict)
+    # responders_of(key) under the cached roster -> preference_order(key)
+    orders: dict[frozenset[NodeId], list[NodeId]] = field(default_factory=dict)
 
     def learn(self, bal: Ballot | None, roster: Roster | None) -> None:
         if bal is not None and (self.bal is None or bal > self.bal):
@@ -126,24 +126,16 @@ class ClientCache:
         return self.roster is None or self.roster_stale
 
     def preference_order(self, key: bytes) -> list[NodeId]:
-        """Own site first, then the cached roster's responders, then the
-        cached leader, then everyone else. Callers must not mutate it."""
-        order = self.orders.get(key)
+        """Own site first, then the key's responders under the cached roster
+        (the leader among them), then everyone else. The order depends on
+        the key only through its responders, so it is cached per responder
+        set. Callers must not mutate it."""
+        resp = frozenset() if self.roster is None else self.roster.responders_of(key)
+        order = self.orders.get(resp)
         if order is None:
-            order = self.orders[key] = self._preference_order(key)
-        return order
-
-    def _preference_order(self, key: bytes) -> list[NodeId]:
-        order: list[NodeId] = [self.site]
-        if self.roster is not None:
-            for p in sorted(self.roster.responders_of(key)):
-                if p not in order:
-                    order.append(p)
-            if self.roster.leader is not None and self.roster.leader not in order:
-                order.append(self.roster.leader)
-        for p in range(self.n):
-            if p not in order:
-                order.append(p)
+            order = [self.site, *sorted(resp - {self.site})]
+            order += [p for p in range(self.n) if p not in order]
+            self.orders[resp] = order
         return order
 
     def write_target(self) -> NodeId:

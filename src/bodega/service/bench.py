@@ -13,7 +13,8 @@ import random
 import secrets
 
 from ..workload import OpGen, Workload, latency_summary
-from .client import KvClient, loop_us
+from . import loop_us
+from .client import KvClient
 
 
 async def _client_task(cid: str, site: int, addrs: list[str], w: Workload, ops: OpGen,

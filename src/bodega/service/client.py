@@ -10,6 +10,7 @@ from ..events import OperatorRequest
 from ..messages import CtlReply
 from ..model import Command, Roster
 from ..reads import ClientArm, ClientCache, ClientDone, ClientSend, ClientSession
+from . import loop_us
 from .config import PeerAddr
 from .wire import FrameReader, WireError, encode
 
@@ -38,12 +39,6 @@ class _Link(asyncio.Protocol):
             return
         for env in envs:
             self.client._deliver(env.msg)
-
-
-def loop_us() -> int:
-    """The running loop's `time()` in integer microseconds: the clock that
-    times the client's ops and bodega-bench's schedule."""
-    return int(asyncio.get_running_loop().time() * 1e6)
 
 
 def _wake(fut: asyncio.Future) -> None:

@@ -8,10 +8,13 @@ the boot announce. `_step` runs `Node.handle` on the event, performs its
 outputs, and then handles the messages the node sent itself, in the order
 sent, each after the `handle` call that sent it has returned. The loop runs
 one callback at a time, so the core sees one event at a time. The core never
-reads the clock: `now` is sampled once per event, so a recorded event log
-replays to an identical state digest. A row of that log is the event's wire
-form with the local time in front, `[t, kind_id, field...]`; the first row,
-`[t]`, is the node's start, which comes before the daemon listens.
+reads the clock: `now` is the loop's clock (`loop_us`), sampled once per
+event, and timers are armed on that clock, so a recorded event log replays
+to an identical state digest (`Node.replay`). A row of that log is the
+event's wire form with the local time in front, `[t, kind_id, field...]`;
+the first row, `[t]`, is the node's start, which comes before the daemon
+listens. A simulator trace holds the same rows, with the global time and
+the node id in front.
 
 Start-up and links wait on events, not on the clock. Each outbound peer
 link is a `_PeerLink` protocol that reconnects as soon as its connection is
@@ -24,29 +27,14 @@ comes later.
 from __future__ import annotations
 
 import asyncio
-import time
 import traceback
 
 from ..events import ArmTimer, CancelTimer, ClientRequest, Deliver, OperatorRequest, Reply, Send, TimerFire
-from ..messages import Msg, from_wire, to_wire
+from ..messages import Msg, to_wire
 from ..node import Node
+from . import loop_us
 from .config import NodeConfig, PeerAddr
 from .wire import FrameReader, WireError, encode
-
-
-def mono_us() -> int:
-    return time.monotonic_ns() // 1000
-
-
-def replay_digest(cfg: NodeConfig, rows: list[list]) -> str:
-    """Feed a recorded event log through a fresh core; returns the digest."""
-    node = Node(cfg.node_id, cfg.cluster, seed=cfg.seed)
-    if rows and len(rows[0]) == 1:
-        node.start(rows[0][0])
-        rows = rows[1:]
-    for row in rows:
-        node.handle(from_wire(row, 1), row[0])
-    return node.state_digest()
 
 
 # ------------------------------------------------------------------- daemon
@@ -194,8 +182,7 @@ class Daemon:
     def __init__(self, cfg: NodeConfig) -> None:
         self.cfg = cfg
         self.node = Node(cfg.node_id, cfg.cluster, seed=cfg.seed)
-        self.timers: dict[tuple, tuple[int, int, asyncio.TimerHandle]] = {}
-        self.timer_gen = 0
+        self.timers: dict[tuple, asyncio.TimerHandle] = {}
         self.links: dict[int, _PeerLink] = {}
         self.client_writers: dict[str, asyncio.Transport] = {}
         self.client_seq: dict[str, int] = {}
@@ -211,7 +198,7 @@ class Daemon:
 
     async def start(self) -> None:
         # the core starts before the ports open, so no frame reaches it first
-        now = mono_us()
+        now = loop_us()
         if self.cfg.record_events:
             self.event_log.append([now])
         self._apply(self.node.start(now), [])  # only timers: start sends nothing
@@ -256,7 +243,7 @@ class Daemon:
             self._announce = None
         for s in self._servers:
             s.close()
-        for _deadline, _gen, handle in self.timers.values():
+        for handle in self.timers.values():
             handle.cancel()
         self.timers.clear()
         for t in self._tasks:
@@ -284,7 +271,7 @@ class Daemon:
             return
         fifo = [ev]
         for ev in fifo:  # _apply appends this node's self-sends as the loop runs
-            now = mono_us()
+            now = loop_us()
             if self.cfg.record_events:
                 self.event_log.append([now, *to_wire(ev)])
             try:
@@ -314,24 +301,20 @@ class Daemon:
             elif t is ArmTimer:
                 self._arm(o.key, o.deadline)
             elif t is CancelTimer:
-                cur = self.timers.pop(o.key, None)
-                if cur is not None:
-                    cur[2].cancel()
+                handle = self.timers.pop(o.key, None)
+                if handle is not None:
+                    handle.cancel()
 
     def _arm(self, key: tuple, deadline: int) -> None:
-        cur = self.timers.pop(key, None)
-        if cur is not None:
-            cur[2].cancel()
-        self.timer_gen += 1
-        gen = self.timer_gen
-        delay = max(0, deadline - mono_us()) / 1e6
-        handle = asyncio.get_running_loop().call_later(delay, self._fire, key, gen)
-        self.timers[key] = (deadline, gen, handle)
+        """(Re-)arm `key` at `deadline`, a `loop_us()` time. The old handle
+        is cancelled, and asyncio skips a cancelled handle even once it is
+        due, so only the latest arm of a key ever fires."""
+        handle = self.timers.get(key)
+        if handle is not None:
+            handle.cancel()
+        self.timers[key] = asyncio.get_running_loop().call_at(deadline / 1e6, self._fire, key)
 
-    def _fire(self, key: tuple, gen: int) -> None:
-        cur = self.timers.get(key)
-        if cur is None or cur[1] != gen:
-            return
+    def _fire(self, key: tuple) -> None:
         del self.timers[key]
         self._step(TimerFire(key))
 

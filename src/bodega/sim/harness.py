@@ -4,6 +4,14 @@ Virtual time is integer microseconds. Every run is a pure function of
 (scenario, seed): the event heap breaks ties by insertion sequence, all
 randomness flows from seeded generators, and nodes never see anything but
 their own drifting local clocks.
+
+A traced run records one JSON array per line. A node's row is the daemon's
+event-log row with the global time and the node id in front: `[t, node,
+now, kind_id, field...]` for each event a live node handles, `now` being
+the local time `Node.handle` is given, and `[0, node, now]` for its start.
+The host's rows are `[t, "crash", node]` and `[t, "part", groups]`, with
+null groups for a heal. A node's rows, the first two fields taken off,
+replay to its state digest (`Node.replay`).
 """
 from __future__ import annotations
 
@@ -13,16 +21,18 @@ import json
 import math
 import random
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from ..events import ArmTimer, CancelTimer, Deliver, OperatorRequest, Reply, Send, TimerFire
-from ..messages import Accept, Commit
+from ..messages import Accept, Commit, from_wire, to_wire
 from ..log import ConsensusLog
-from ..model import Ballot, Command, Roster
+from ..model import Ballot, Command
 from ..node import Node
 from ..reads import ClientArm, ClientCache, ClientDone, ClientSend, ClientSession
 from ..workload import OpGen, latency_summary
 from .scenario import Scenario, ScriptEvent
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @dataclass(slots=True)
@@ -142,31 +152,6 @@ class _ClientState:
     timer: _Timer = field(default_factory=_Timer)
 
 
-def _tagged(v):
-    if isinstance(v, Ballot):
-        return {"_b": v.to_wire()}
-    if isinstance(v, Roster):
-        return {"_r": v.to_wire()}
-    if isinstance(v, Command):
-        return {"_c": v.to_wire()}
-    if isinstance(v, bytes):
-        return {"_y": v.decode("latin-1")}
-    if isinstance(v, tuple):
-        return [_tagged(x) for x in v]
-    return v
-
-
-def _trace_msg(msg) -> dict:
-    """A delivered message as the trace writes it: its fields by name under
-    a `kind` tag, each ballot, roster, command and byte string tagged with a
-    one-key dict. It is the trace's own format, fixed by the recorded trace
-    pins; nothing turns it back into a message."""
-    out: dict = {"kind": type(msg).__name__}
-    for f in fields(msg):
-        out[f.name] = _tagged(getattr(msg, f.name))
-    return out
-
-
 class Simulation:
     def __init__(
         self,
@@ -260,11 +245,9 @@ class Simulation:
                 tm.head, tm.head_t, tm.queued = tm.seq, tm.t, True
         return tm.seq == seq
 
-    def _trace(self, t: int, kind: str, detail: dict) -> None:
+    def _trace(self, row: list) -> None:
         if self.trace_on:
-            row = {"t": t, "kind": kind}
-            row.update(detail)
-            self.trace.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
+            self.trace.append(_dumps(row))
 
     def _client_hop(self, site: int, node: int, kind: str, *data) -> None:
         """A message between a client at `site` and `node`, either way."""
@@ -493,7 +476,9 @@ class Simulation:
     def _setup(self) -> None:
         for i in range(self.sc.n):
             self.now = 0
-            self._apply_outputs(i, self.nodes[i].start(self.clocks[i].local(0)))
+            local = self.clocks[i].local(0)
+            self._trace([0, i, local])
+            self._apply_outputs(i, self.nodes[i].start(local))
         if self.sc.initial_roster is not None:
             self._push(self.sc.initial_at, "roster_set",
                        self.sc.initial_announcer, self.sc.initial_roster)
@@ -556,8 +541,6 @@ class Simulation:
             ev = None
             if kind == "nmsg":
                 node_id, frm, msg = data
-                if trace_on:
-                    self._trace(t, "deliver", {"to": node_id, "frm": frm, "msg": _trace_msg(msg)})
                 ev = Deliver(frm, msg)
             elif kind == "ntimer":
                 node_id, key = data
@@ -565,14 +548,9 @@ class Simulation:
                 if not alive[node_id] or not self._due(tm, seq, kind, data):
                     continue
                 tm.seq = 0
-                if trace_on:
-                    self._trace(t, "timer", {"node": node_id, "key": list(key)})
                 ev = TimerFire(key)
             elif kind == "creq":
                 node_id, ev = data
-                if trace_on:
-                    self._trace(t, "creq", {"node": node_id, "client": ev.cmd.client,
-                                            "seq": ev.cmd.seq, "op": ev.cmd.kind})
             elif kind == "cmsg":
                 cid, msg = data
                 cs = self.clients[cid]
@@ -599,18 +577,20 @@ class Simulation:
                 if self._stable_bal.pop(data[0], None) is not None:
                     self._refresh_live_bals()
                 self._all_stable_due = True
-                self._trace(t, "crash", {"node": data[0]})
+                self._trace([t, "crash", data[0]])
             elif kind == "part":
                 self.net.set_partition(data[0])
-                self._trace(t, "part", {"groups": data[0] and [list(g) for g in data[0]]})
+                self._trace([t, "part", data[0]])
             elif kind == "roster_set":
                 node_id, roster = data
-                self._trace(t, "roster_set", {"node": node_id})
                 ev = OperatorRequest("roster_set", "op", roster)
             if ev is None or not alive[node_id]:
                 continue
             node, c = nodes[node_id], clocks[node_id]
-            outs = node.handle(ev, c.skew + t + int(c.rate * t))  # `ClockModel.local`
+            local = c.skew + t + int(c.rate * t)  # `ClockModel.local`
+            if trace_on:
+                self.trace.append(_dumps([t, node_id, local, *to_wire(ev)]))
+            outs = node.handle(ev, local)
             if outs:
                 self._apply_outputs(node_id, outs)
             if monitors:  # agreement, and at most one stable ballot among the live nodes
@@ -708,18 +688,20 @@ def inject_interfering_write(sc: Scenario, seed: int, write_rid: str, read_site:
     commit_seen_at = None
     slot = None
     for line in res.trace:
-        d = json.loads(line)
-        msg = d.get("msg")
-        if not msg:
+        row = json.loads(line)
+        if len(row) <= 3:  # a node's start, a crash or a partition
             continue
-        if msg.get("kind") == "Accept" and accept_at is None:
-            clients = [c["_c"]["client"] for c in msg["batch"]]
-            if write_rid in clients and d.get("to") == d.get("frm"):
-                accept_at = d["t"]
-                slot = msg["slot"]
-        elif msg.get("kind") == "Commit" and slot is not None and commit_seen_at is None:
-            if d.get("to") == read_site and slot in msg["slots"]:
-                commit_seen_at = d["t"]
+        ev = from_wire(row, 3)
+        if type(ev) is not Deliver:
+            continue
+        msg = ev.msg
+        if type(msg) is Accept and accept_at is None:
+            if ev.frm == row[1] and any(c.client == write_rid for c in msg.batch):
+                accept_at = row[0]
+                slot = msg.slot
+        elif type(msg) is Commit and slot is not None and commit_seen_at is None:
+            if row[1] == read_site and slot in msg.slots:
+                commit_seen_at = row[0]
     timeline = sorted(
         (r.response, r.response - r.invoke, r.contacted)
         for r in res.history

@@ -315,7 +315,7 @@ def test_c11_core_parity_and_determinism():
     import asyncio
 
     from .support import random_fault_scenario as rfs
-    from .test_service import cluster_configs
+    from .test_service import cluster_configs, fresh_node
 
     # identical (scenario, seed) -> byte-identical traces
     sc = rfs(3)
@@ -327,7 +327,7 @@ def test_c11_core_parity_and_determinism():
     # a daemon-recorded event log replays to identical per-node digests
     from bodega.model import full_range_roster as frr
     from bodega.service.client import KvClient, ctl_request
-    from bodega.service.daemon import Daemon, replay_digest
+    from bodega.service.daemon import Daemon
 
     async def main():
         cfgs = cluster_configs(3, record_events=True)
@@ -350,7 +350,7 @@ def test_c11_core_parity_and_determinism():
             for d in daemons:
                 await d.stop()
         for i in range(3):
-            assert replay_digest(cfgs[i], logs[i]) == digests[i], f"node {i} replay diverged"
+            assert fresh_node(cfgs[i]).replay(logs[i]) == digests[i], f"node {i} replay diverged"
         return sum(len(l) for l in logs)
 
     n_events = asyncio.run(main())

@@ -21,7 +21,7 @@ def test_sim_run_writes_outputs(tmp_path, capsys):
     assert m["reads"]["count"] > 0
     lines = history.read_text().strip().splitlines()
     assert lines and all(json.loads(l)["request_id"] for l in lines)
-    assert trace.read_text().startswith('{"')
+    assert trace.read_text().startswith("[0,0,")  # node 0's start
 
 
 def test_sim_run_rejects_bad_scenario(tmp_path, capsys):

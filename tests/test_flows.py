@@ -7,9 +7,9 @@ import re
 
 import pytest
 
-from bodega.events import Send
+from bodega.events import Deliver, Send
 from bodega.lincheck import check
-from bodega.messages import CatchUpReply
+from bodega.messages import CatchUpReply, Heartbeat, from_wire
 from bodega.model import Ballot
 from bodega.node import Node
 from bodega.sim.harness import Simulation, inject_interfering_write, run_scenario
@@ -325,10 +325,11 @@ def test_steady_state_heartbeats_are_lightweight():
     res = run_scenario(sc, seed=14, trace=True, until=3_000_000)
     full_after_stable = 0
     for line in res.trace:
-        d = json.loads(line)
-        msg = d.get("msg", {})
-        if msg.get("kind") == "Heartbeat" and d["t"] > 1_000_000:
-            if msg.get("roster") is not None and d.get("frm") != d.get("to"):
+        row = json.loads(line)
+        if len(row) > 3 and row[0] > 1_000_000:  # a node event
+            ev = from_wire(row, 3)
+            if (type(ev) is Deliver and type(ev.msg) is Heartbeat
+                    and ev.msg.roster is not None and ev.frm != row[1]):
                 full_after_stable += 1
     assert full_after_stable == 0
 
@@ -440,8 +441,10 @@ def test_node_state_stays_within_its_census_bounds(config):
     two seconds, each dict, set and list field of every node's state stays
     within its bound in CENSUS, and a field with none fails. With the tuner
     off (the default) no key counter is kept, and the key index holds only
-    keys that live slots write. The daemon's `client_seq` and `event_log`
-    are not in the census yet."""
+    keys that live slots write. On the client side, each client caches at
+    most 2·r+1 preference orders, one per responder set of its cached
+    roster of r ranges. The daemon's `client_seq` and `event_log` are not
+    in the census yet."""
     with open("scenarios/geo5.json", encoding="utf-8") as f:
         d = json.load(f)
     d["config"].update(config)
@@ -472,6 +475,10 @@ def test_node_state_stays_within_its_census_bounds(config):
                     "tune window": 0,  # the tuner is off, so no window opens
                 }
                 seen.update(census(node, bound))
+            for cs in self.clients.values():
+                ros = cs.cache.roster
+                r = 0 if ros is None else len(ros.responder_map)
+                assert len(cs.cache.orders) <= 2 * r + 1, (cs.cid, len(cs.cache.orders), r)
             checks.append(self.now)
 
     res = Census(sc, seed=1).run()

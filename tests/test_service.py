@@ -5,6 +5,7 @@ with the protocol core."""
 import asyncio
 import json
 import socket
+import time
 
 import pytest
 
@@ -15,10 +16,12 @@ from bodega.messages import (
     from_wire, to_wire,
 )
 from bodega.model import Ballot, Command, full_range_roster
+from bodega.node import Node
+from bodega.service import loop_us
 from bodega.service.bench import bench
 from bodega.service.config import ConfigError, node_config_from_dict
 from bodega.service import daemon as daemon_mod
-from bodega.service.daemon import Daemon, replay_digest
+from bodega.service.daemon import Daemon
 from bodega.service import client as client_mod
 from bodega.service.client import KvClient, ctl_request
 from bodega.service.wire import PROTO_VERSION, FrameReader, WireError, decode_body, encode
@@ -55,6 +58,11 @@ def cluster_configs(n, record_events=False, timers=None, announce=None):
             "initial_roster": None if announce is None else announce.to_wire(),
         }))
     return cfgs
+
+
+def fresh_node(cfg):
+    """A new core as `cfg`'s daemon builds it, to replay its event log."""
+    return Node(cfg.node_id, cfg.cluster, seed=cfg.seed)
 
 
 # ------------------------------------------------------------------ framing
@@ -280,8 +288,8 @@ def test_live_cluster_put_get_and_roster_ops():
         # replay parity: every daemon's recorded events reproduce its digest,
         # also after a trip through JSON
         for i, d_log in enumerate(logs):
-            assert replay_digest(cfgs[i], d_log) == nodes[i].state_digest()
-            assert replay_digest(cfgs[i], json.loads(json.dumps(d_log))) == nodes[i].state_digest()
+            assert fresh_node(cfgs[i]).replay(d_log) == nodes[i].state_digest()
+            assert fresh_node(cfgs[i]).replay(json.loads(json.dumps(d_log))) == nodes[i].state_digest()
 
     asyncio.run(main())
 
@@ -391,7 +399,7 @@ def test_peer_port_closes_on_what_no_peer_sends():
                        for row in d.event_log[1:])
         finally:
             await d.stop()
-        assert replay_digest(cfg, d.event_log) == d.node.state_digest()
+        assert fresh_node(cfg).replay(d.event_log) == d.node.state_digest()
 
     asyncio.run(main())
 
@@ -555,11 +563,36 @@ def test_self_sends_are_handled_in_order_after_their_cause():
         depth[0] -= 1
         return outs
 
+    async def main():  # the daemon's clock is its running loop's
+        d._step(OperatorRequest("roster_get", "c1"))
+
     d.node.handle = handle
-    d._step(OperatorRequest("roster_get", "c1"))
+    asyncio.run(main())
     assert [type(e) for e in calls] == [OperatorRequest, Deliver, Deliver, Deliver]
     assert [(e.frm, e.msg.thresh) for e in calls[1:]] == [(me, 1), (me, 2), (me, 3)]
     assert [from_wire(row, 1) for row in d.event_log] == calls
+
+
+def test_a_key_re_armed_in_the_loop_turn_of_its_old_deadline_fires_once():
+    """A callback re-arms key K in the loop turn in which K's old deadline
+    is due, so K's old handle is already in the ready queue when `_arm`
+    cancels it. The core sees one TimerFire(K), at the new deadline."""
+    d = Daemon(cluster_configs(3)[0])
+    key, fired = ("hb_tick",), []
+    d.node.handle = lambda ev, now: fired.append((ev, now)) or []
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        old = loop_us() + 1000
+        new = old + 50_000
+        d._arm(key, old)
+        loop.call_at((old - 500) / 1e6, d._arm, key, new)
+        time.sleep(0.005)  # both are due when the loop next looks
+        await asyncio.sleep(0.1)  # past the new deadline
+        assert [ev for ev, _now in fired] == [TimerFire(key)]
+        assert fired[0][1] >= new - 1 and d.timers == {}
+
+    asyncio.run(main())
 
 
 _REPLIES = (ClientReadReply, ClientWriteReply, ClientRedirect, ClientUnavailable, CtlReply)

@@ -8,6 +8,7 @@ import pytest
 
 from bodega.events import Deliver, Reply
 from bodega.messages import Accept
+from bodega.node import Node
 from bodega.service.config import ConfigError, node_config_from_dict
 from bodega.sim.explore import _configs
 from bodega.sim.harness import ClockModel, NetworkModel, Simulation, run_scenario
@@ -58,9 +59,9 @@ def test_trace_is_json_lines_with_timestamps():
     res = run_scenario(sc, seed=3, trace=True)
     ts = []
     for line in res.trace:
-        d = json.loads(line)
-        assert isinstance(d["t"], int)
-        ts.append(d["t"])
+        row = json.loads(line)
+        assert isinstance(row[0], int)
+        ts.append(row[0])
     assert ts == sorted(ts)
 
 
@@ -296,25 +297,25 @@ def test_all_stable_is_recorded_at_the_first_node_event_after_a_crash():
 # and says why.
 RECORDED_TRACES = {
     "rand3": (lambda: random_fault_scenario(3), 3,
-              "7c6dc887805d01f847d32fce9907433f8fceb3adbd41197c2a4a444c76933b9d",
+              "6892d6ff04d70b7774992c9645fd7e0e7f888a7238446731c90367c838024548",
               "d62ccb4e42c35feb4de2c1b11e66f206713d680ab8f9568dbf6b6366b705a8b3"),
     "rand97": (lambda: random_fault_scenario(97), 97,
-               "9b85ce5936c1e0057c756cce3ab2e5ffd7df1e2754d519bba64e210c7eab3fc7",
+               "84a246efdb08347d67e0e056ea683652c475222df60cf61b0e94d70f90fb8fbd",
                "37eff18d0c7a6a07fca608b89ffcced6f05392ec757ac4e89eb5fe30e7f5fb1f"),
     "rand179": (lambda: random_fault_scenario(179), 179,
-                "f4de48d901768ff09486123f64c989f662ed480fefb113a3c4fe5bb7a426afb0",
+                "1271ff9d59422124e7e444ed0c617b62fb93b1efa66b4bf86fbda87d6fa7ef01",
                 "d7d5bf777ea30136bf0f59513db5f091b62b79b11902f8412b9d838cbb068462"),
     "geo10": (lambda: geo_scenario(0.10), 31,
-              "d236d35bd3a324c82ebb196c82912c2355b0085aa455d2655027b4bfd3d96140",
+              "0c16dc947cc9e96f56c1da3a901a4d65d6ec2d7e6de4724ef2faca168c1694a1",
               "dd857d8c0b71cd604a21b769059c6e9094e71cec8d288c15800dd55746e72b74"),
     "crash_leader": (lambda: load_scenario("scenarios/crash_leader.json"), 7,
-                     "eb0cdcfe5081a40283bc05ad1d1a6ca97c7b336ae0c4f8752a5995012c9a7a2f",
+                     "76f710a82a518a2a53a37f43445359d8c39fc6550a4932e3c529a3e60dfd8001",
                      "fe059cdd41dd0bdb807c94481118684beb6d795eb5c4c3ef3d38c88dfcc5ed37"),
     "zipf_open": (lambda: scenario_from_dict(ZIPF_OPEN), 5,
-                  "94ad17e869a569e6a76765a7f9c38fca92072e74e6fbbd58025221b3daa87b3c",
+                  "419991d758ed1966ba11774ebd1837292e132816979ae52f6ce564da594d798e",
                   "dd132aea7726960fb33c0c62dcd729bb972ecfb417dfa235c9a858abb3be5c97"),
     "tuned_geo5": (tuned_geo5, 1,
-                   "a8470546c104630096c50128149c657f8b88bd9b49a1a334225c8d5b491f0f85",
+                   "b34398af57fb5b306974c9659ef29383279980f9186163a821e30401ac7bdf4c",
                    "5884a129b487bd748c22b9c8dfea762ae39d93e4665684f2affded08dc7ea732"),
 }
 
@@ -326,6 +327,23 @@ def test_recorded_traces_unchanged(name):
     assert hashlib.sha256("\n".join(res.trace).encode()).hexdigest() == trace_sha
     rows = "\n".join(op_row(r) for r in res.history)
     assert hashlib.sha256(rows.encode()).hexdigest() == history_sha
+
+
+@pytest.mark.parametrize("name", ["rand97", "crash_leader", "geo10"])
+def test_a_trace_replays_to_every_node_digest(name):
+    """Each node's trace rows, the global time and node id taken off, are
+    its event log: fed through a fresh core they give the node's digest at
+    the end of the run, for the nodes that crashed too (rand97 and
+    crash_leader crash nodes)."""
+    make, seed, _trace_sha, _history_sha = RECORDED_TRACES[name]
+    sc = make()
+    res = run_scenario(sc, seed=seed, trace=True)
+    rows = [json.loads(line) for line in res.trace]
+    assert any(row[1] == "crash" for row in rows) == (name != "geo10")
+    for i, digest in res.digests.items():
+        log = [row[2:] for row in rows if row[1] == i]
+        assert len(log[0]) == 1 and len(log) > 1  # the start, then events
+        assert Node(i, sc.config, seed=seed).replay(log) == digest, f"node {i}"
 
 
 def test_explorer_enumerates_its_configs_in_a_fixed_order():
