@@ -6,7 +6,7 @@ import asyncio
 import json
 import sys
 
-from .lincheck import SearchBudgetExceeded, check, check_file
+from .lincheck import HistoryError, SearchBudgetExceeded, check, check_file
 from .model import Roster, validate_roster
 from .sim.explore import explore_interleavings
 from .sim.harness import run_scenario
@@ -73,7 +73,11 @@ def lincheck_main(argv: list[str] | None = None) -> int:
                                 description="per-key linearizability verdict over a history file")
     p.add_argument("history", help="JSON-lines history")
     args = p.parse_args(argv)
-    return _print_verdict(check_file, args.history)
+    try:
+        return _print_verdict(check_file, args.history)
+    except (HistoryError, OSError) as e:  # malformed, or unreadable: no verdict
+        print(f"history invalid: {e}", file=sys.stderr)
+        return 2
 
 
 def _print_verdict(check_fn, history) -> int:

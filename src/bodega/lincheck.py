@@ -16,6 +16,11 @@ is the brute-force oracle that both are validated against on small inputs.
 
 An operation with no response is possibly-effective: it may be linearized at
 any point after its invocation or dropped entirely.
+
+`parse_history` reads the rows in one pass into each key's ops as plain
+tuples in `HistOp`'s field order, and the deciders index those; a `HistOp`
+is built only for a failing key's witness. Rows that share a request id are
+one op sent more than once, so every row must carry one.
 """
 from __future__ import annotations
 
@@ -23,12 +28,15 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import itemgetter
+from typing import NamedTuple
 
 INF = float("inf")
 
 
-@dataclass(slots=True)  # one per history op; unfrozen is cheaper to build
-class HistOp:
+class HistOp(NamedTuple):
+    """One op of a history, with the fields of the plain tuples that
+    `parse_history` yields, in their order."""
     opid: int
     op: str  # "put" | "get"
     key: str
@@ -46,36 +54,109 @@ class HistOp:
 
 
 class HistoryError(ValueError):
-    pass
+    """A history that cannot be checked. `row` is the index of the row at
+    fault in the caller's list, when there is one."""
+
+    def __init__(self, reason: str, row: int | None = None) -> None:
+        super().__init__(reason if row is None else f"row {row}: {reason}")
+        self.reason = reason
+        self.row = row
 
 
-def parse_history(rows: list[dict]) -> list[HistOp]:
-    """Rows as produced by the simulator / bench: one dict per logical op."""
-    by_rid: dict[str, dict] = {}
+_FIELDS = itemgetter("request_id", "op", "key", "value", "invoke", "response", "outcome")
+
+
+def parse_history(rows: list[dict]) -> dict[str, list[tuple]]:
+    """Rows as produced by the simulator / bench, one dict per logical op,
+    to each key's ops as plain tuples in `HistOp`'s field order, in one
+    pass. Rows that share a request id are one op, sent more than once.
+    Raises `HistoryError` naming the row for a row without a request id,
+    with an op other than put or get, or with an ill-typed field, and for
+    an op that responded before it was invoked."""
+    per_key: dict[str, list[tuple]] = {}
+    first: dict[str, dict] = {}  # request id -> its first row; opids count these
+    again: dict[str, list[dict]] = {}  # request id -> its later rows
     for r in rows:
-        rid = r.get("request_id", "")
-        prev = by_rid.get(rid)
-        if prev is None:
-            by_rid[rid] = r
+        try:
+            rid, op, key, value, invoke, response, outcome = _FIELDS(r)
+        except (KeyError, TypeError):  # a field left out, or not an object
+            rid, op, key, value, invoke, response, outcome = _row_fields(rows, r)
+        if (type(invoke) is not int or type(rid) is not str or not rid
+                or (op != "put" and op != "get") or type(key) is not str
+                or (value is not None and type(value) is not str)
+                or (response is not None and type(response) is not int)):
+            _row_fields(rows, r)  # raises, naming the fault
+        if rid in first:
+            again.setdefault(rid, []).append(r)
             continue
-        # duplicated sends collapse: earliest invoke, earliest success; the
-        # merge goes into a copy, so the caller's rows stay as they were
-        prev = by_rid[rid] = dict(prev)
-        prev["invoke"] = min(prev["invoke"], r["invoke"])
-        if r.get("response") is not None and (
-            prev.get("response") is None or r["response"] < prev["response"]
-        ):
-            prev["response"] = r["response"]
-            prev["value"] = r.get("value")
-            prev["outcome"] = r.get("outcome", "ok")
-    ops = []
-    for i, r in enumerate(by_rid.values()):
-        invoke = r["invoke"]
-        response = r.get("response") if r.get("outcome", "ok") == "ok" else None
-        if response is not None and response < invoke:
-            raise HistoryError(f"response before invoke in {r!r}")
-        ops.append(HistOp(i, r["op"], r["key"], r.get("value"), invoke, response))
-    return ops
+        if outcome != "ok":
+            response = None
+        elif response is not None and response < invoke:
+            again[rid] = []  # decided once all its rows are merged
+        ops = per_key.get(key)
+        if ops is None:
+            ops = per_key[key] = []
+        ops.append((len(first), op, key, value, invoke, response))
+        first[rid] = r
+    if again:
+        _merge_repeats(rows, per_key, first, again)
+    return per_key
+
+
+def _row_fields(rows: list[dict], r) -> tuple:
+    """A row's fields read one at a time, where value, response and outcome
+    default to None, None and "ok". Raises `HistoryError` naming the row and
+    its first fault."""
+    if not isinstance(r, dict):
+        fault = "not an object"
+    elif missing := [f for f in ("request_id", "op", "key", "invoke") if f not in r]:
+        fault = f"no {missing[0]}"
+    else:
+        rid, op, key, value, invoke = r["request_id"], r["op"], r["key"], r.get("value"), r["invoke"]
+        response = r.get("response")
+        if type(rid) is not str or not rid:
+            fault = "request_id is not a non-empty string"
+        elif op not in ("put", "get"):
+            fault = f"op {op!r} is neither put nor get"
+        elif type(key) is not str:
+            fault = "key is not a string"
+        elif value is not None and type(value) is not str:
+            fault = "value is neither a string nor null"
+        elif type(invoke) is not int:
+            fault = "invoke is not an int"
+        elif response is not None and type(response) is not int:
+            fault = "response is neither an int nor null"
+        else:
+            return rid, op, key, value, invoke, response, r.get("outcome", "ok")
+    raise HistoryError(f"{fault} in {r!r}", _index(rows, r))
+
+
+def _index(rows: list[dict], r: dict) -> int:
+    return next(i for i, x in enumerate(rows) if x is r)
+
+
+def _merge_repeats(rows: list[dict], per_key: dict[str, list[tuple]],
+                   first: dict[str, dict], again: dict[str, list[dict]]) -> None:
+    """Merge each repeated request id's rows into its op (earliest invoke,
+    earliest success), in a copy, so the caller's rows stay as they were;
+    then reject an op, merged or not, that responded before it was invoked."""
+    opids = {rid: i for i, rid in enumerate(first)}
+    for rid, later in again.items():
+        m = dict(first[rid])
+        for r in later:
+            m["invoke"] = min(m["invoke"], r["invoke"])
+            if r.get("response") is not None and (
+                m.get("response") is None or r["response"] < m["response"]
+            ):
+                m["response"] = r["response"]
+                m["value"] = r.get("value")
+                m["outcome"] = r.get("outcome", "ok")
+        response = m.get("response") if m.get("outcome", "ok") == "ok" else None
+        if response is not None and response < m["invoke"]:
+            raise HistoryError(f"response before invoke in {m!r}", _index(rows, first[rid]))
+        opid, ops = opids[rid], per_key[m["key"]]
+        ops[bisect_left(ops, opid, key=itemgetter(0))] = (
+            opid, m["op"], m["key"], m.get("value"), m["invoke"], response)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,27 +178,26 @@ class Violation:
 def check(rows: list[dict]) -> Violation | None:
     """None when linearizable; otherwise the first failing key's witness.
     Raises `SearchBudgetExceeded` when a key needs the search and the search
-    runs out of budget."""
-    per_key: dict[str, list[HistOp]] = {}
-    for o in parse_history(rows):
-        per_key.setdefault(o.key, []).append(o)
+    runs out of budget, and `HistoryError` when a row is malformed."""
+    per_key = parse_history(rows)
     for key in sorted(per_key):
-        if not _linearizable(per_key[key]):
-            return Violation(key, _minimize(per_key[key]))
+        ops = per_key[key]
+        if not _linearizable(ops):
+            return Violation(key, _minimize([HistOp._make(o) for o in ops]))
     return None
 
 
-def _linearizable(ops: list[HistOp]) -> bool:
+def _linearizable(ops: list[tuple]) -> bool:
     """One key's verdict: from its zones when its put values are distinct,
     by the search otherwise."""
     verdict = _check_zones(ops)
     return _check_register(ops) if verdict is None else verdict
 
 
-def _check_zones(ops: list[HistOp]) -> bool | None:
+def _check_zones(ops: list[tuple]) -> bool | None:
     """Register linearizability from write clusters, in O(n log n); None
     when a put value is None or repeats, so that a read does not name the
-    one put it saw.
+    one put it saw. `ops` are `HistOp`s or plain tuples in its field order.
 
     Incomplete reads are dropped, and so are incomplete puts that no read
     returns; an incomplete put that a read returns responds at +inf. A
@@ -132,41 +212,40 @@ def _check_zones(ops: list[HistOp]) -> bool | None:
     backward zone `[hi, lo]` lies strictly inside a forward one, since either
     puts two blocks each before the other; it is linearizable otherwise.
     """
-    puts: dict[str | None, HistOp] = {}
-    for o in ops:
-        if o.op == "put":
-            if o.value is None or o.value in puts:
+    zones: dict[str | None, list] = {}  # value -> [lo, hi, its put's invoke]
+    for _, op, _, value, invoke, response in ops:
+        if op == "put":
+            if value is None or value in zones:
                 return None
-            puts[o.value] = o
-    zones: dict[str | None, list] = {}  # value -> [lo, hi]
-    for o in ops:
-        if o.op == "put" or o.response is None:
+            # an incomplete put's [+inf, invoke] constrains nothing unless
+            # a read returns its value
+            zones[value] = [INF if response is None else response, invoke, invoke]
+    for _, op, _, value, invoke, response in ops:
+        if response is None or op == "put":
             continue
-        v = o.value
-        z = zones.get(v)
-        if v is not None:
-            w = puts.get(v)
-            if w is None or o.response < w.invoke:
-                return False
-            if z is None:
-                z = zones[v] = [w.resp, w.invoke]
-        elif z is None:
-            z = zones[v] = [-INF, -INF]
-        if o.response < z[0]:
-            z[0] = o.response
-        if o.invoke > z[1]:
-            z[1] = o.invoke
-    for v, w in puts.items():
-        if v not in zones and w.response is not None:
-            zones[v] = [w.response, w.invoke]
-    forward = sorted((lo, hi) for lo, hi in zones.values() if lo < hi)
+        z = zones.get(value)
+        if z is None:
+            if value is not None:
+                return False  # no put wrote it
+            z = zones[None] = [-INF, -INF, -INF]
+        if response < z[0]:
+            z[0] = response
+        if invoke > z[1]:
+            z[1] = invoke
+    forward = []
+    for lo, hi, put_invoke in zones.values():
+        if lo < put_invoke:
+            return False  # a read responded before its put was invoked
+        if lo < hi:
+            forward.append((lo, hi))
+    forward.sort()
     for (_, prev_hi), (lo, _) in zip(forward, forward[1:]):
         if lo < prev_hi:
             return False
     # forward zones are now disjoint and sorted, so the one that starts last
     # before a backward zone's start is the only one that could contain it
     starts = [lo for lo, _ in forward]
-    for lo, hi in zones.values():
+    for lo, hi, _ in zones.values():
         if lo >= hi:
             i = bisect_left(starts, hi) - 1
             if i >= 0 and lo < forward[i][1]:
@@ -179,11 +258,12 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 _STATE_BUDGET = 500_000
+_INVOKE_OPID = itemgetter(4, 0)
 
 
-def _check_register(ops: list[HistOp]) -> bool:
+def _check_register(ops: list[tuple]) -> bool:
     """Register linearizability via depth-first search over the next
-    linearized op.
+    linearized op; `ops` as `_check_zones` takes them.
 
     State: (set of linearized ops, current register value). An op is
     eligible next if no other un-linearized op responded before it was
@@ -197,20 +277,20 @@ def _check_register(ops: list[HistOp]) -> bool:
     response is then found without scanning the remainder, and the
     eligible ops are a prefix of the not-yet-linearized ops in invoke order.
     """
-    ops = sorted((o for o in ops if o.complete or o.op == "put"),
-                 key=lambda o: (o.invoke, o.opid))
+    ops = sorted((o for o in ops if o[5] is not None or o[1] == "put"), key=_INVOKE_OPID)
     n = len(ops)
     complete = 0
     for i, o in enumerate(ops):
-        if o.complete:
+        if o[5] is not None:
             complete |= 1 << i
     if not complete:
         return True
-    invoke = [o.invoke for o in ops]
-    value_of = [o.value for o in ops]
-    is_put = [o.op == "put" for o in ops]
-    by_resp = sorted(range(n), key=lambda i: (ops[i].resp, i))
-    resp_at = [ops[i].resp for i in by_resp]
+    invoke = [o[4] for o in ops]
+    value_of = [o[3] for o in ops]
+    is_put = [o[1] == "put" for o in ops]
+    resp = [INF if o[5] is None else o[5] for o in ops]
+    by_resp = sorted(range(n), key=lambda i: (resp[i], i))
+    resp_at = [resp[i] for i in by_resp]
     seen: set[tuple[int, str | None]] = set()
     # Depth-first over states, one frame per state on the current path:
     # [done, value, lo, rlo, min pending response, next candidate op]. An
@@ -310,10 +390,18 @@ def _any_legal_order(chosen: list[HistOp]) -> bool:
 
 
 def check_file(path: str) -> Violation | None:
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return check(rows)
+    """`check` over a JSON-lines file. A line that is not JSON, and a
+    malformed row, raise `HistoryError` naming the line."""
+    rows, lines = [], []
+    with open(path, "rb") as f:
+        for n, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    rows.append(json.loads(line))
+                except ValueError as e:  # not JSON, or not UTF-8
+                    raise HistoryError(f"line {n}: not JSON: {e}") from None
+                lines.append(n)
+    try:
+        return check(rows)
+    except HistoryError as e:  # names the row: name its line instead
+        raise HistoryError(f"line {lines[e.row]}: {e.reason}") from None

@@ -152,11 +152,13 @@ class _PeerConn(_Inbound):
 
 class _ClientConn(_Inbound):
     """A client's connection: replies to the clients it speaks for go back
-    on it."""
+    on it, numbered by `seq`, so what the daemon keeps per client goes
+    with the connection."""
 
     def __init__(self, daemon: "Daemon") -> None:
         super().__init__(daemon)
         self.clients: set[str] = set()
+        self.seq = 0  # of the last reply frame sent on this connection
 
     def admit(self, env) -> None:
         # a client speaks only for itself, and only in requests
@@ -167,13 +169,13 @@ class _ClientConn(_Inbound):
             return
         if cid not in self.clients:
             self.clients.add(cid)
-            self.daemon.client_writers[cid] = self.transport
+            self.daemon.client_writers[cid] = self
         self.daemon._step(msg)
 
     def connection_lost(self, exc) -> None:
         writers = self.daemon.client_writers
         for cid in self.clients:
-            if writers.get(cid) is self.transport:
+            if writers.get(cid) is self:
                 del writers[cid]
         super().connection_lost(exc)
 
@@ -184,8 +186,7 @@ class Daemon:
         self.node = Node(cfg.node_id, cfg.cluster, seed=cfg.seed)
         self.timers: dict[tuple, asyncio.TimerHandle] = {}
         self.links: dict[int, _PeerLink] = {}
-        self.client_writers: dict[str, asyncio.Transport] = {}
-        self.client_seq: dict[str, int] = {}
+        self.client_writers: dict[str, _ClientConn] = {}  # a client's latest connection
         self.event_log: list[list] = []
         self.stopped = asyncio.Event()
         self._announce: asyncio.TimerHandle | None = None
@@ -293,11 +294,10 @@ class Daemon:
                     if link is not None:
                         link.send(o.msg)
             elif t is Reply:
-                w = self.client_writers.get(o.client)
-                if w is not None and not w.is_closing():
-                    seq = self.client_seq.get(o.client, 0) + 1
-                    self.client_seq[o.client] = seq
-                    w.write(encode(f"n{me}", seq, o.msg))
+                conn = self.client_writers.get(o.client)
+                if conn is not None and not conn.transport.is_closing():
+                    conn.seq += 1
+                    conn.transport.write(encode(f"n{me}", conn.seq, o.msg))
             elif t is ArmTimer:
                 self._arm(o.key, o.deadline)
             elif t is CancelTimer:

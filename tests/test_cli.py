@@ -131,6 +131,28 @@ def test_lincheck_cli_reports_an_undecided_verdict(tmp_path, capsys, monkeypatch
         "linearizable: unknown (search budget exceeded: 11 states explored)\n")
 
 
+def test_lincheck_cli_rejects_a_malformed_history(tmp_path, capsys):
+    """A history lincheck cannot read gets no verdict: it prints the reason,
+    naming the line, on stderr and exits 2, with no traceback."""
+    put = {"client": "c", "request_id": "w", "op": "put", "key": "x", "value": "1",
+           "invoke": 0, "response": 5, "outcome": "ok"}
+    no_invoke = {k: v for k, v in put.items() if k != "invoke"}
+    for lines, err in [
+        ([put, "", dict(put, request_id="r", invoke=9, response=7)],
+         "history invalid: line 3: response before invoke in "),
+        ([put, "{not json"], "history invalid: line 2: not JSON: "),
+        ([no_invoke], "history invalid: line 1: no invoke in "),
+    ]:
+        hist = tmp_path / "hist.jsonl"
+        hist.write_text("\n".join(l if type(l) is str else json.dumps(l) for l in lines))
+        assert lincheck_main([str(hist)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(err), out.err
+    assert lincheck_main([str(tmp_path / "missing.jsonl")]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("history invalid: [Errno 2]")
+
+
 def test_sim_explore_smoke_budgeted(capsys):
     rc = sim_main(["explore", "--budget-runs", "40"])
     out = capsys.readouterr().out

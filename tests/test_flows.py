@@ -443,8 +443,7 @@ def test_node_state_stays_within_its_census_bounds(config):
     off (the default) no key counter is kept, and the key index holds only
     keys that live slots write. On the client side, each client caches at
     most 2·r+1 preference orders, one per responder set of its cached
-    roster of r ranges. The daemon's `client_seq` and `event_log` are not
-    in the census yet."""
+    roster of r ranges. The daemon's `event_log` is not in the census yet."""
     with open("scenarios/geo5.json", encoding="utf-8") as f:
         d = json.load(f)
     d["config"].update(config)

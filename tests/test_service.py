@@ -619,6 +619,14 @@ def test_layer_wrappers_see_every_frame_and_event(monkeypatch):
 
     monkeypatch.setattr(daemon_mod, "encode", counting_encode)
     monkeypatch.setattr(FrameReader, "feed", counting_feed)
+    # each client connection numbers its reply frames, and goes when it closes
+    conns = []
+    conn_init = daemon_mod._ClientConn.__init__
+
+    def tracking_init(conn, daemon):
+        conn_init(conn, daemon)
+        conns.append(conn)
+    monkeypatch.setattr(daemon_mod._ClientConn, "__init__", tracking_init)
 
     async def main():
         cfgs = cluster_configs(3, record_events=True)
@@ -643,8 +651,8 @@ def test_layer_wrappers_see_every_frame_and_event(monkeypatch):
             await _stop_cluster(daemons)
         events = [[from_wire(row, 1) for row in d.event_log[1:]] for d in daemons]
         assert handled == [len(evs) for evs in events]
-        assert sent[0] == sum(sum(l.seq for l in d.links.values()) + sum(d.client_seq.values())
-                              for d in daemons)
+        assert sent[0] == (sum(l.seq for d in daemons for l in d.links.values())
+                           + sum(c.seq for c in conns))
         from_network = sum(type(e) in (ClientRequest, OperatorRequest)
                            or (type(e) is Deliver and e.frm != i)
                            for i, evs in enumerate(events) for e in evs)
@@ -765,6 +773,29 @@ def test_kv_client_reconnects_a_connection_the_node_closed():
             assert (outcome, value) == ("ok", b"v") and latency_us < 1_000_000
             assert cli.links[1] is not link and cli.links[1].transport is not None
             await cli.close()
+        finally:
+            await _stop_cluster(daemons)
+
+    asyncio.run(main())
+
+
+def test_a_daemon_keeps_nothing_per_client_once_its_connections_close():
+    """50 clients, each with its own id, connect, do an op and close: no
+    daemon has an entry left that names one of them."""
+    async def main():
+        daemons, addrs = await _serving_cluster()
+        try:
+            for n in range(50):
+                cli = KvClient(addrs, site=1, cid=f"gone{n}", op_timeout_s=5.0)
+                op = cli.put(b"k", b"v%d" % n) if n % 2 else cli.get(b"k")
+                assert (await op)[0] == "ok"
+                await cli.close()
+            await _until(lambda: all(not d.client_writers for d in daemons))
+            for d in daemons:
+                for name, field in vars(d).items():
+                    if isinstance(field, (dict, set, list)):
+                        held = [x for x in field if isinstance(x, str) and x.startswith("gone")]
+                        assert held == [], (d.cfg.node_id, name)
         finally:
             await _stop_cluster(daemons)
 
