@@ -186,7 +186,7 @@ def ctl_main(argv: list[str] | None = None) -> int:
         return 1
     out = {"ok": True}
     if reply.bal is not None:
-        out["ballot"] = reply.bal.to_wire()
+        out["ballot"] = list(reply.bal)
     if reply.roster is not None:
         out["roster"] = reply.roster.to_wire()
     if args.verb == "stats":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from types import NoneType, UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 from .events import ClientRequest, Deliver, OperatorRequest, TimerFire
 from .model import Ballot, Command, Roster
@@ -188,8 +188,9 @@ class CtlReply(Msg):
 # A message's wire form is a JSON array: its kind id, then its fields in
 # declaration order. The kind id is the class's index in _KINDS; new kinds
 # are only ever appended, so an id keeps its meaning. The field types the
-# schema declares go untagged: bytes as latin-1 strings, a Ballot as
-# [round, node], a Command or Roster as its own `to_wire` form, a nested
+# schema declares go untagged: bytes as latin-1 strings, a row (a
+# NamedTuple value such as a Ballot or a Command, or a fixed-length tuple)
+# as the array of its items, a Roster as its `to_wire` form, a nested
 # message (`Deliver.msg`) as its wire form.
 
 _KINDS: tuple[type, ...] = (
@@ -213,15 +214,31 @@ def _bad(where: str) -> WireError:
     return WireError(f"{where}: ill-typed")
 
 
+def _named(tp) -> bool:
+    """A NamedTuple class."""
+    return isinstance(tp, type) and issubclass(tp, tuple) and hasattr(tp, "_fields")
+
+
+def _row(tp) -> tuple | None:
+    """The item types of a row type, a NamedTuple or a fixed-length tuple,
+    in order; None for any other type."""
+    if _named(tp):
+        hints = get_type_hints(tp)
+        return tuple(hints[f] for f in tp._fields)
+    args = get_args(tp)
+    if get_origin(tp) is tuple and Ellipsis not in args:
+        return args
+    return None
+
+
 class _Compiler:
     """Writes the Python source of one encoder and one type-checking decoder
     per kind from its dataclass annotations, and compiles it. Field types
     the schema does not use raise TypeError here, at import."""
 
     def __init__(self) -> None:
-        self.env = {"_ARRAYS": _ARRAYS, "_bad": _bad, "WireError": WireError, "Ballot": Ballot,
-                    "Command": Command, "Roster": Roster, "to_wire": to_wire,
-                    "_nested_msg": _nested_msg}
+        self.env = {"_ARRAYS": _ARRAYS, "_bad": _bad, "WireError": WireError, "Roster": Roster,
+                    "to_wire": to_wire, "_nested_msg": _nested_msg, "_new": tuple.__new__}
         self.n = 0
 
     def name(self, prefix: str) -> str:
@@ -234,13 +251,14 @@ class _Compiler:
 
     # An encoder is one expression over the value's name `x`.
     def enc(self, tp, x: str) -> str:
-        if tp in (int, bool, str, tuple):  # bare tuple: a timer key of names and ids
+        # bare tuple: a timer key of names and ids
+        if tp in (int, bool, str, tuple) or get_origin(tp) is Literal:
             return x
         if tp is bytes:
             return f'{x}.decode("latin-1")'
-        if tp is Ballot:
-            return f"[{x}.round, {x}.node]"
-        if tp is Command or tp is Roster:
+        if _named(tp):
+            return f"[{', '.join(self.enc(t, f'{x}.{f}') for f, t in zip(tp._fields, _row(tp)))}]"
+        if tp is Roster:
             return f"{x}.to_wire()"
         if tp is Msg:
             return f"to_wire({x})"
@@ -249,11 +267,12 @@ class _Compiler:
             inner = self.enc(args[0], x)
             return x if inner == x else f"(None if {x} is None else {inner})"
         if get_origin(tp) is tuple and args[1:] == (Ellipsis,):
-            row = get_args(args[0])
-            if get_origin(args[0]) is tuple and Ellipsis not in row:
+            row = _row(args[0])
+            if row is not None:  # unpacked in the loop, a NamedTuple too
                 es = [self.name("e") for _ in row]
                 parts = [self.enc(t, e) for t, e in zip(row, es)]
-                if parts == es:
+                # a NamedTuple goes as a list: the decoder takes no other tuple type
+                if parts == es and not _named(args[0]):
                     return x
                 return f"[[{', '.join(parts)}] for {', '.join(es)} in {x}]"
             e = self.name("e")
@@ -267,6 +286,10 @@ class _Compiler:
         bad = f"raise _bad({where!r})"
         if tp in (int, bool, str):
             return [f"{ind}if type({x}) is not {tp.__name__}: {bad}"]
+        if get_origin(tp) is Literal:
+            if any(type(a) is not str for a in get_args(tp)):
+                raise TypeError(f"no wire form for {tp!r}")
+            return [f"{ind}if {x} not in {get_args(tp)!r}: {bad}"]
         if tp is tuple:
             e = self.name("e")
             return [f"{ind}if type({x}) not in _ARRAYS: {bad}",
@@ -276,45 +299,34 @@ class _Compiler:
         if tp is bytes:
             return [f"{ind}if type({x}) is not str: {bad}",
                     f'{ind}{x} = {x}.encode("latin-1")']
-        if tp is Ballot:
-            return [f"{ind}if (type({x}) not in _ARRAYS or len({x}) != 2 or type({x}[0]) is not int"
-                    f" or type({x}[1]) is not int): {bad}",
-                    f"{ind}{x} = Ballot({x}[0], {x}[1])"]
-        if tp is Command or tp is Roster:
-            return [f"{ind}{x} = {tp.__name__}.from_wire({x})"]
+        if tp is Roster:
+            return [f"{ind}{x} = Roster.from_wire({x})"]
         if tp is Msg:
             return [f"{ind}{x} = _nested_msg({x})"]
+        row = _row(tp)
+        if row is not None:
+            es = [self.name("e") for _ in row]
+            lines = [f"{ind}if type({x}) not in _ARRAYS or len({x}) != {len(row)}: {bad}",
+                     f"{ind}{', '.join(es)}, = {x}"]
+            for t, e in zip(row, es):
+                lines += self.dec(t, e, where, ind)
+            items = f"({', '.join(es)},)"
+            if _named(tp):
+                self.env[tp.__name__] = tp
+                items = f"_new({tp.__name__}, {items})"
+            return lines + [f"{ind}{x} = {items}"]
         args = get_args(tp)
         if get_origin(tp) is UnionType and args[1] is NoneType:
             return [f"{ind}if {x} is not None:"] + self.dec(args[0], x, where, ind + "    ")
         if get_origin(tp) is tuple and args[1:] == (Ellipsis,):
-            head = f"{ind}if type({x}) not in _ARRAYS: {bad}"
-            item = args[0]
-            if item in (int, bool, str):
-                e = self.name("e")
-                return [head, f"{ind}for {e} in {x}:"] + self.dec(item, e, where, ind + "    ") + [
-                    f"{ind}{x} = tuple({x})"]
-            e = self.name("e")
-            return [head, f"{ind}{x} = tuple([{self.item_decoder(item, where)}({e}) for {e} in {x}])"]
+            e, out = self.name("e"), self.name("out")
+            return [f"{ind}if type({x}) not in _ARRAYS: {bad}",
+                    f"{ind}{out} = []",
+                    f"{ind}for {e} in {x}:",
+                    *self.dec(args[0], e, where, ind + "    "),
+                    f"{ind}    {out}.append({e})",
+                    f"{ind}{x} = tuple({out})"]
         raise TypeError(f"no wire form for {tp!r}")
-
-    def item_decoder(self, tp, where: str) -> str:
-        """A function that decodes one element of a `tuple[tp, ...]`."""
-        if tp is Command or tp is Roster:
-            return f"{tp.__name__}.from_wire"
-        row = get_args(tp)
-        if get_origin(tp) is not tuple or Ellipsis in row:
-            raise TypeError(f"no wire form for a tuple of {tp!r}")
-        fn = self.name("_item")
-        es = [self.name("e") for _ in row]
-        lines = [f"def {fn}(x):",
-                 f"    if type(x) not in _ARRAYS or len(x) != {len(row)}: raise _bad({where!r})",
-                 f"    {', '.join(es)}, = x"]
-        for t, e in zip(row, es):
-            lines += self.dec(t, e, where, "    ")
-        lines.append(f"    return ({', '.join(es)},)")
-        self.define("\n".join(lines), fn)
-        return fn
 
     def kind(self, kid: int, cls: type):
         """(encoder, decoder) of one kind. The encoder returns the wire
@@ -356,7 +368,7 @@ def from_wire(v, at: int = 0):
         return _DECODERS[kid](v, at + 1)
     except WireError:
         raise
-    except ValueError as e:  # a Command or Roster from_wire, or a non-latin-1 byte string
+    except ValueError as e:  # a Roster's from_wire, or a non-latin-1 byte string
         raise WireError(str(e)) from None
 
 

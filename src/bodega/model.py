@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 NodeId = int
 
@@ -24,9 +24,6 @@ class Ballot(NamedTuple):
     round: int
     node: NodeId
 
-    def to_wire(self) -> list[int]:
-        return [self.round, self.node]
-
 
 ZERO_BALLOT = Ballot(0, 0)
 
@@ -36,13 +33,13 @@ def next_ballot(current: Ballot, proposer: NodeId) -> Ballot:
     return Ballot(current.round + 1, proposer)
 
 
-@dataclass(frozen=True, slots=True)
-class Command:
+class Command(NamedTuple):
     """A Put or Get, named (client, seq): a client id names one incarnation
     of a client, which runs one op at a time with strictly increasing seqs,
-    and a retry keeps its op's seq."""
+    and a retry keeps its op's seq. A tuple type, as Ballot is: the codec
+    writes it as its fields."""
 
-    kind: str  # "put" | "get"
+    kind: Literal["put", "get"]
     key: bytes
     value: bytes | None  # puts only
     client: str
@@ -50,25 +47,6 @@ class Command:
 
     def is_write(self) -> bool:
         return self.kind == "put"
-
-    def to_wire(self) -> dict:
-        """JSON form; `value` is present only when set (puts)."""
-        d = {"kind": self.kind, "key": self.key.decode("latin-1"),
-             "client": self.client, "seq": self.seq}
-        if self.value is not None:
-            d["value"] = self.value.decode("latin-1")
-        return d
-
-    @classmethod
-    def from_wire(cls, d) -> "Command":
-        """Inverse of to_wire; raises ValueError on anything else."""
-        if type(d) is dict:
-            kind, key, v, client, seq = map(d.get, ("kind", "key", "value", "client", "seq"))
-            if (type(kind) is str and type(key) is str and type(client) is str
-                    and type(seq) is int and (v is None or type(v) is str)):
-                return cls(kind, key.encode("latin-1"),
-                           None if v is None else v.encode("latin-1"), client, seq)
-        raise ValueError("malformed command")
 
 
 @dataclass(frozen=True, slots=True)

@@ -53,6 +53,7 @@ from .messages import (
     RevokeReply,
     StatsReport,
     from_wire,
+    to_wire,
 )
 from .model import (
     Ballot,
@@ -124,7 +125,7 @@ class Node:
     def state_digest(self) -> str:
         """Stable digest of protocol-visible state, for replay parity checks."""
         view = {
-            "bal": self.bal.to_wire(),
+            "bal": self.bal,
             "ros": self.ros.to_wire(),
             "commit_prefix": self.log.commit_prefix,
             "exec_prefix": self.log.exec_prefix,
@@ -132,15 +133,9 @@ class Node:
                 (k.decode("latin-1"), v.decode("latin-1"))
                 for k, v in {**self.log.snap_kv, **self.log.kv}.items()
             ),
-            "slots": [
-                [
-                    i,
-                    self.log.slots[i].bal.to_wire(),
-                    int(self.log.slots[i].status),
-                    [c.to_wire() for c in self.log.slots[i].batch],
-                ]
-                for i in sorted(self.log.slots)
-            ],
+            # a slot: its status, then the Accept that carries it in the codec's form
+            "slots": [[int(s.status), *to_wire(Accept(s.bal, i, s.batch))]
+                      for i, s in sorted(self.log.slots.items())],
             "endowed": sorted(self.leases.endowed),
             "thresh": sorted(self.leases.thresh.items()),
         }

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ..events import Event
 from ..messages import Msg, WireError, from_wire, to_wire
 
-PROTO_VERSION = 3
+PROTO_VERSION = 4
 MAX_FRAME = 8 * 1024 * 1024
 _LEN = struct.Struct(">I")
 _dumps = json.JSONEncoder(separators=(",", ":")).encode

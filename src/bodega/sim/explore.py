@@ -81,6 +81,7 @@ def _scenario_dict(cfg: ExploreConfig) -> dict:
             "hb_send_ms": 150, "hb_fail_ms": 400, "guard_ms": 800, "lease_ms": 800,
             "delta_ms": 40, "hb_fail_jitter": 0.0, "unhold_floor_ms": 60,
         },
+        "drift": {"delta_ms": 0},  # clocks at one rate: only the schedule varies
         "initial_roster": {
             "announcer": 0, "at_ms": 5, "leader": 0,
             "ranges": [{"lo": "", "hi": None, "responders": list(cfg.responders)}],
@@ -122,8 +123,7 @@ class _Chooser:
 
 def _one_run(cfg: ExploreConfig, mutations: frozenset[str]) -> list[str]:
     sc = scenario_from_dict(_scenario_dict(cfg))
-    sim = Simulation(sc, 0, monitors=True, mutations=mutations,
-                     drift=False, delay_chooser=_Chooser(cfg.delays))
+    sim = Simulation(sc, 0, monitors=True, mutations=mutations, delay_chooser=_Chooser(cfg.delays))
     res = sim.run(until=3_200_000)
     violations = list(res.violations)
     v = check([r.history_row() for r in res.history])

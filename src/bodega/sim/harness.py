@@ -160,7 +160,6 @@ class Simulation:
         trace: bool = False,
         monitors: bool = False,
         mutations: frozenset[str] = frozenset(),
-        drift: bool = True,
         delay_chooser=None,
     ) -> None:
         self.sc = sc
@@ -171,7 +170,7 @@ class Simulation:
         self.delay_chooser = delay_chooser  # exploration hook: (delay, msg) -> delay
         self.net_rng = random.Random((seed * 2654435761) & 0xFFFFFFFF)
         self.net = NetworkModel(sc, self.net_rng)
-        rho = sc.drift_rate_bound() if drift else 0.0
+        rho = sc.drift_rate_bound()
         skew_rng = random.Random(seed ^ 0x5EED)
         self.clocks = [
             ClockModel(skew=skew_rng.randrange(10_000), rate=rho * (1 if i % 2 else -1))
@@ -665,13 +664,11 @@ def run_scenario(
     trace: bool = False,
     monitors: bool = False,
     mutations: frozenset[str] = frozenset(),
-    drift: bool = True,
     until: int | None = None,
 ) -> SimResult:
     """Run one scenario deterministically; same (scenario, seed) gives a
     byte-identical trace."""
-    sim = Simulation(sc, seed, trace=trace, monitors=monitors,
-                     mutations=mutations, drift=drift)
+    sim = Simulation(sc, seed, trace=trace, monitors=monitors, mutations=mutations)
     return sim.run(until=until)
 
 

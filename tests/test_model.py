@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bodega.messages import Guard, to_wire
 from bodega.model import (
     Ballot,
     ClusterConfig,
@@ -37,7 +38,7 @@ def test_ballot_value_semantics():
     assert (b.round, b.node) == (3, 1)
     assert hash(b) == hash((3, 1))
     assert repr(b) == "Ballot(round=3, node=1)"
-    assert b.to_wire() == [3, 1]
+    assert to_wire(Guard(b, 0))[1] == [3, 1]
     assert {Ballot(3, 1): "x"}[Ballot(3, 1)] == "x"
 
 

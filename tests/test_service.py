@@ -3,6 +3,7 @@ cluster driven through the client library, the operator interface and the
 bench driver, the client port's input check, and event-log replay parity
 with the protocol core."""
 import asyncio
+import dataclasses
 import json
 import socket
 import time
@@ -126,6 +127,7 @@ def test_msg_codec_roundtrips_everything():
     ]
     for m in samples:
         assert from_wire(to_wire(m)) == m, m
+        _assert_same_types(m, from_wire(to_wire(m)))
 
 
 def test_msg_codec_roundtrips_events():
@@ -142,12 +144,36 @@ def test_msg_codec_roundtrips_events():
     ]
     for ev in samples:
         assert from_wire(json.loads(json.dumps(to_wire(ev)))) == ev, ev
+        _assert_same_types(ev, from_wire(json.loads(json.dumps(to_wire(ev)))))
+
+
+def _assert_same_types(a, b) -> None:
+    """`b` has `a`'s type throughout, so every decoded command is a Command
+    and every ballot a Ballot: a NamedTuple equals the plain tuple of its
+    fields, so `==` alone would pass a decoder that builds tuples."""
+    assert type(a) is type(b), (a, b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same_types(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, tuple):
+        for x, y in zip(a, b, strict=True):
+            _assert_same_types(x, y)
 
 
 def test_read_reply_frame_is_small():
     """A 64-byte read reply costs at most 120 bytes on the wire."""
     raw = encode("n0", 2**20, ClientReadReply(123456, b"p0c1.123456.".ljust(64, b"x")))
     assert len(raw) <= 120, len(raw)
+
+
+def test_accept_frame_is_small():
+    """An Accept of two 64-byte puts costs at most 250 bytes on the wire: a
+    command is written as its fields, with no key names."""
+    value = b"p0c1.1234.".ljust(64, b"x")
+    batch = (Command("put", b"k000123", value, "p0c1", 1234),
+             Command("put", b"k000124", value, "p0c2", 1234))
+    raw = encode("n0", 2**20, Accept(Ballot(2, 0), 1234, batch))
+    assert len(raw) <= 250, len(raw)
 
 
 def _body(*fields):
@@ -164,8 +190,12 @@ MALFORMED_BODIES = {
     "nested_100k_deep": b"[" * 100_000 + b"]" * 100_000,
     "one_number": b"[1]",
     "number_for_bytes": _body("n1", 1, _READ_REPLY, 1, 5, None, None),
-    "numeric_command_key": _body("c1", 1, _CLIENT_REQUEST,
-                                 {"kind": "get", "key": 5, "client": "c1", "seq": 1}, -1, False, True),
+    "numeric_command_key": _body("c1", 1, _CLIENT_REQUEST, ["get", 5, None, "c1", 1], -1, False, True),
+    "command_kind_not_put_or_get": _body("c1", 1, _CLIENT_REQUEST,
+                                         ["cas", "k", None, "c1", 1], -1, False, True),
+    "command_as_object": _body("c1", 1, _CLIENT_REQUEST,
+                               {"kind": "get", "key": "k", "client": "c1", "seq": 1}, -1, False, True),
+    "command_of_four_fields": _body("c1", 1, _CLIENT_REQUEST, ["get", "k", "c1", 1], -1, False, True),
     "ballot_of_three": _body("n1", 1, _GUARD, [1, 0, 0], 0),
     "ballot_non_int_node": _body("n1", 1, _GUARD, [1, "0"], 0),
 }

@@ -230,7 +230,7 @@ def _forge(sim, node_id, accepts: bool):
 
     def handle(ev, now):
         if accepts and type(ev) is Deliver and type(ev.msg) is Accept:
-            batch = tuple(dataclasses.replace(c, value=b"forged") if c.is_write() else c
+            batch = tuple(c._replace(value=b"forged") if c.is_write() else c
                           for c in ev.msg.batch)
             ev = Deliver(ev.frm, dataclasses.replace(ev.msg, batch=batch))
         outs = inner(ev, now)
@@ -297,25 +297,25 @@ def test_all_stable_is_recorded_at_the_first_node_event_after_a_crash():
 # and says why.
 RECORDED_TRACES = {
     "rand3": (lambda: random_fault_scenario(3), 3,
-              "6892d6ff04d70b7774992c9645fd7e0e7f888a7238446731c90367c838024548",
+              "684fe98d4ed810b6c694ccf09e071522a83d690bdfb19369f383ce886e8d09e9",
               "d62ccb4e42c35feb4de2c1b11e66f206713d680ab8f9568dbf6b6366b705a8b3"),
     "rand97": (lambda: random_fault_scenario(97), 97,
-               "84a246efdb08347d67e0e056ea683652c475222df60cf61b0e94d70f90fb8fbd",
+               "a1923e3962a500ff338419e47086ad56b164621a4d14764b5653f0cba39a4860",
                "37eff18d0c7a6a07fca608b89ffcced6f05392ec757ac4e89eb5fe30e7f5fb1f"),
     "rand179": (lambda: random_fault_scenario(179), 179,
-                "1271ff9d59422124e7e444ed0c617b62fb93b1efa66b4bf86fbda87d6fa7ef01",
+                "af3e85bf960fcef237680ffeab82b5b1663c1beb099566f50f03fdcfd0ffd54b",
                 "d7d5bf777ea30136bf0f59513db5f091b62b79b11902f8412b9d838cbb068462"),
     "geo10": (lambda: geo_scenario(0.10), 31,
-              "0c16dc947cc9e96f56c1da3a901a4d65d6ec2d7e6de4724ef2faca168c1694a1",
+              "356a0dce53b4489eaaf27994a79a940d0eb8990552a4aaf155d0a94ba1e172d4",
               "dd857d8c0b71cd604a21b769059c6e9094e71cec8d288c15800dd55746e72b74"),
     "crash_leader": (lambda: load_scenario("scenarios/crash_leader.json"), 7,
-                     "76f710a82a518a2a53a37f43445359d8c39fc6550a4932e3c529a3e60dfd8001",
+                     "5dddc886863e73d613cbc3e095c8ae45fa263877a27311a1348d593fc430e05f",
                      "fe059cdd41dd0bdb807c94481118684beb6d795eb5c4c3ef3d38c88dfcc5ed37"),
     "zipf_open": (lambda: scenario_from_dict(ZIPF_OPEN), 5,
-                  "419991d758ed1966ba11774ebd1837292e132816979ae52f6ce564da594d798e",
+                  "26ca9ea6a8f00752f39cbdf656a54782d1af0aebdd4f96669bcf74ebdde975cb",
                   "dd132aea7726960fb33c0c62dcd729bb972ecfb417dfa235c9a858abb3be5c97"),
     "tuned_geo5": (tuned_geo5, 1,
-                   "b34398af57fb5b306974c9659ef29383279980f9186163a821e30401ac7bdf4c",
+                   "6cbe4e3df44fd64dc554087b2f81a3c34c8afe06cb7756a9d337c4a136791820",
                    "5884a129b487bd748c22b9c8dfea762ae39d93e4665684f2affded08dc7ea732"),
 }
 
