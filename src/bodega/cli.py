@@ -6,11 +6,7 @@ import asyncio
 import json
 import sys
 
-from .lincheck import HistoryError, SearchBudgetExceeded, check, check_file
-from .model import Roster, validate_roster
-from .sim.explore import explore_interleavings
-from .sim.harness import run_scenario
-from .sim.scenario import ScenarioError, load_scenario
+from .model import Roster
 
 
 def sim_main(argv: list[str] | None = None) -> int:
@@ -33,6 +29,9 @@ def sim_main(argv: list[str] | None = None) -> int:
 
     args = p.parse_args(argv)
     if args.cmd == "run":
+        from .sim.harness import run_scenario
+        from .sim.scenario import ScenarioError, load_scenario
+
         try:
             sc = load_scenario(args.scenario)
         except (ScenarioError, OSError) as e:  # malformed, or unreadable
@@ -58,9 +57,13 @@ def sim_main(argv: list[str] | None = None) -> int:
             print("invariant violations:", *res.violations[:5], sep="\n  ")
             rc = 1
         if args.check:
+            from .lincheck import check
+
             verdict = _print_verdict(check, [r.history_row() for r in res.history])
             rc = rc or verdict
         return rc
+
+    from .sim.explore import explore_interleavings
 
     muts = frozenset({args.mutant}) if args.mutant else frozenset()
     res = explore_interleavings(muts, args.budget_runs)
@@ -73,6 +76,8 @@ def lincheck_main(argv: list[str] | None = None) -> int:
                                 description="per-key linearizability verdict over a history file")
     p.add_argument("history", help="JSON-lines history")
     args = p.parse_args(argv)
+    from .lincheck import HistoryError, check_file
+
     try:
         return _print_verdict(check_file, args.history)
     except (HistoryError, OSError) as e:  # malformed, or unreadable: no verdict
@@ -83,6 +88,8 @@ def lincheck_main(argv: list[str] | None = None) -> int:
 def _print_verdict(check_fn, history) -> int:
     """Print lincheck's verdict on `history`; returns the exit status: 0 for
     yes, 1 for no, 2 when the search ran out of budget on some key."""
+    from .lincheck import SearchBudgetExceeded
+
     try:
         v = check_fn(history)
     except SearchBudgetExceeded as e:

@@ -49,14 +49,20 @@ class LeaseEngine:
     # m-th smallest threshold over the endowed peers, None until computed.
     # Every change to `endowed` membership or to `thresh` resets it.
     _mth: int | None = None
+    # a lower bound on every `endowed` deadline: until `now` passes it, no
+    # grant is past its deadline
+    _until: int = 0
 
     def _set(self, intent: str) -> dict[NodeId, int]:
         return getattr(self, intent)
 
     def _arm(self, intent: str, peer: NodeId, deadline: int) -> ArmTimer:
         d = self._set(intent)
-        if intent == "endowed" and peer not in d:
-            self._mth = None
+        if intent == "endowed":
+            if peer not in d:
+                self._mth = None
+            if deadline < self._until:
+                self._until = deadline
         d[peer] = deadline
         return ArmTimer(("lease", intent, peer), deadline)
 
@@ -204,22 +210,33 @@ class LeaseEngine:
 
     # ------------------------------------------------------------- stability
 
-    def is_stable(self, committed_prefix: int, no_thresh_check: bool = False) -> bool:
+    def is_stable(self, committed_prefix: int, now: int, no_thresh_check: bool = False) -> bool:
         """True iff this node holds a majority of grants whose safety
-        thresholds are covered by the locally committed prefix.
+        thresholds are covered by the locally committed prefix. A grant
+        counts only while `now` is at or before its deadline: a host that
+        ran late may handle input before the grant's overdue expiry timer.
 
         Equivalently, the m-th smallest threshold among the grantors is
-        covered; that threshold is cached until the grants or thresholds
-        change, so the per-read check is O(1).
+        covered; while every grant is in time, that threshold is cached
+        until the grants or thresholds change.
         """
         m = self.cfg.majority
-        if len(self.endowed) < m:
+        endowed = self.endowed
+        if len(endowed) < m:
             return False
+        if now > self._until:
+            self._until = min(endowed.values())
+            if now > self._until:  # a grant past its deadline, its expiry timer not yet run
+                held = [p for p, deadline in endowed.items() if now <= deadline]
+                if len(held) < m:
+                    return False
+                return no_thresh_check or (
+                    sorted(self.thresh.get(p, 0) for p in held)[m - 1] <= committed_prefix)
         if no_thresh_check:
             return True
         mth = self._mth
         if mth is None:
-            mth = self._mth = sorted(self.thresh.get(p, 0) for p in self.endowed)[m - 1]
+            mth = self._mth = sorted(self.thresh.get(p, 0) for p in endowed)[m - 1]
         return mth <= committed_prefix
 
     # ---------------------------------------------------------------- resets

@@ -110,14 +110,18 @@ class Node:
         # (client, seq) -> want_roster of the requests awaiting execution here
         self.pending_client_reqs: dict[tuple[str, int], bool] = {}
         self.counters: dict[str, int] = {}
+        self.last_now = 0  # the local time of the latest start or event handled
 
     # ------------------------------------------------------------------ util
 
     def _count(self, what: str) -> None:
         self.counters[what] = self.counters.get(what, 0) + 1
 
-    def is_stable(self) -> bool:
-        return self.leases.is_stable(self.log.commit_prefix, self._no_thresh)
+    def is_stable(self, now: int | None = None) -> bool:
+        """Whether this node may serve reads locally at local time `now`;
+        by default, at the last `now` it handled."""
+        return self.leases.is_stable(self.log.commit_prefix, self.last_now if now is None else now,
+                                     self._no_thresh)
 
     def is_leader(self) -> bool:
         return self.ros.leader == self.me
@@ -145,6 +149,7 @@ class Node:
     # ------------------------------------------------------------- lifecycle
 
     def start(self, now: int) -> list[Output]:
+        self.last_now = now
         out: list[Output] = [ArmTimer(("hb_tick",), now + self.cfg.t_hb_send)]
         for p in range(self.cfg.n):
             if p != self.me:
@@ -156,6 +161,7 @@ class Node:
     # -------------------------------------------------------------- dispatch
 
     def handle(self, event: Event, now: int) -> list[Output]:
+        self.last_now = now
         if type(event) is Deliver:
             h = _MSG_HANDLERS.get(type(event.msg))
             return [] if h is None else h(self, event.frm, event.msg, now)
@@ -636,7 +642,7 @@ class Node:
         """A stable responder serves or holds the read (`read_at`); any
         other node redirects it to the leader, and the leader takes it
         through the log as if it were a write."""
-        if not self.is_stable() or self.me not in self.ros.responders_of(cmd.key):
+        if not self.is_stable(now) or self.me not in self.ros.responders_of(cmd.key):
             if not self.is_leader():
                 if self.ros.leader is not None:
                     self._count("reads_redirected")

@@ -49,45 +49,6 @@ class ClockModel:
         return max(0, math.ceil((t_local - self.skew) / (1.0 + self.rate)))
 
 
-class NetworkModel:
-    """Per-pair delays with jitter, loss, and partitions."""
-
-    def __init__(self, sc: Scenario, rng: random.Random) -> None:
-        self.sc = sc
-        self.rng = rng
-        self.partition: dict[int, int] | None = None
-        # base one-way delays; the diagonal is the co-located client hop
-        self.one_way = [[sc.one_way_us(a, b) for b in range(sc.n)] for a in range(sc.n)]
-
-    def set_partition(self, groups: tuple[tuple[int, ...], ...] | None) -> None:
-        if groups is None:
-            self.partition = None
-        else:
-            self.partition = {n: gi for gi, g in enumerate(groups) for n in g}
-
-    def delay(self, a: int, b: int) -> int | None:
-        """One-way node-to-node delay, or None when the message is lost.
-        Loopback is instant and reliable. `Simulation._apply_outputs` takes
-        the same steps inline for the nodes' own sends."""
-        if a == b:
-            return 0
-        if self.partition is not None and self.partition[a] != self.partition[b]:
-            return None
-        d = self.one_way[a][b]
-        if self.sc.jitter_us:
-            d += self.rng.randrange(self.sc.jitter_us + 1)
-        if self.sc.drop_prob and self.rng.random() < self.sc.drop_prob:
-            return None
-        return d
-
-    def client_delay(self, site: int, node: int) -> int | None:
-        """One-way delay between a client co-located at `site` and a node.
-        The last co-located hop is short but never free."""
-        if site == node:
-            return self.one_way[site][site]
-        return self.delay(site, node)
-
-
 @dataclass(slots=True)
 class OpRecord:
     client: str
@@ -168,8 +129,9 @@ class Simulation:
         self.trace_on = trace
         self.monitors = monitors
         self.delay_chooser = delay_chooser  # exploration hook: (delay, msg) -> delay
-        self.net_rng = random.Random((seed * 2654435761) & 0xFFFFFFFF)
-        self.net = NetworkModel(sc, self.net_rng)
+        # one-way delays; the diagonal is the co-located client hop
+        self.one_way = [[sc.one_way_us(a, b) for b in range(sc.n)] for a in range(sc.n)]
+        self.partition: dict[int, int] | None = None  # node -> its group, while partitioned
         rho = sc.drift_rate_bound()
         skew_rng = random.Random(seed ^ 0x5EED)
         self.clocks = [
@@ -248,9 +210,19 @@ class Simulation:
         if self.trace_on:
             self.trace.append(_dumps(row))
 
+    def delay(self, a: int, b: int) -> int | None:
+        """One-way delay from `a` to `b`, or None when a partition parts
+        them; `a == b` is a client's hop to its co-located node. Every
+        message but a node's send to itself takes this rule, which
+        `_apply_outputs` takes inline for node sends."""
+        part = self.partition
+        if part is not None and part[a] != part[b]:
+            return None
+        return self.one_way[a][b]
+
     def _client_hop(self, site: int, node: int, kind: str, *data) -> None:
         """A message between a client at `site` and `node`, either way."""
-        d = self.net.client_delay(site, node)
+        d = self.delay(site, node)
         self.sends += 1
         if d is not None:
             self.seq += 1
@@ -260,17 +232,15 @@ class Simulation:
         """Carry out one node's outputs in order. The node's timers, clock,
         delay row and the network state are read once per list.
 
-        A Send is the one send step: loopback is instant and reliable;
-        otherwise a partition, then jitter, then loss decide the delay, and
-        the explorer's chooser may change it. A broadcast sends one message
-        object to every peer, so the monitors look at each object once."""
+        A Send is the one send step: loopback is instant; otherwise `delay`
+        gives the delay, and the explorer's chooser may change it. A
+        broadcast sends one message object to every peer, so the monitors
+        look at each object once."""
         heap, now, seq, sends = self.heap, self.now, self.seq, self.sends
         timers = self.node_timers[node_id]
         clock = self.clocks[node_id]
         skew, rate1 = clock.skew, 1.0 + clock.rate
-        net = self.net
-        row, part, rng = net.one_way[node_id], net.partition, net.rng
-        jitter, drop = self.sc.jitter_us, self.sc.drop_prob
+        row, part = self.one_way[node_id], self.partition
         chooser = self.delay_chooser
         monitors = self.monitors
         seen = None
@@ -287,14 +257,7 @@ class Simulation:
                 if to == node_id:
                     d = 0
                 else:
-                    if part is not None and part[node_id] != part[to]:
-                        d = None
-                    else:
-                        d = row[to]
-                        if jitter:
-                            d += rng.randrange(jitter + 1)
-                        if drop and rng.random() < drop:
-                            d = None
+                    d = None if part is not None and part[node_id] != part[to] else row[to]
                     if chooser is not None:
                         d = chooser(d, msg)
                 sends += 1
@@ -320,7 +283,7 @@ class Simulation:
                     self._observe_read(node_id, o)
                 cs = self.clients.get(o.client)
                 if cs is not None:
-                    d = net.client_delay(cs.site, node_id)
+                    d = self.delay(cs.site, node_id)
                     sends += 1
                     if d is not None:
                         seq += 1
@@ -578,7 +541,9 @@ class Simulation:
                 self._all_stable_due = True
                 self._trace([t, "crash", data[0]])
             elif kind == "part":
-                self.net.set_partition(data[0])
+                groups = data[0]
+                self.partition = (None if groups is None
+                                  else {n: gi for gi, g in enumerate(groups) for n in g})
                 self._trace([t, "part", data[0]])
             elif kind == "roster_set":
                 node_id, roster = data
@@ -595,7 +560,7 @@ class Simulation:
             if monitors:  # agreement, and at most one stable ballot among the live nodes
                 if exec_seen[node_id] < node.log.exec_prefix:
                     self._check_agreement(node_id, node.log)
-                sb = node.bal if node.is_stable() else None
+                sb = node.bal if node.is_stable(local) else None
                 if (sb is not stable_bal.get(node_id) or len(self._live_bals) > 1
                         or self._all_stable_due):
                     self._check_stability(node_id, sb)

@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..model import (
-    ClusterConfig, Roster, SettingError, cluster_config_from_dict, convert, count, fraction, listed,
+    ClusterConfig, Roster, SettingError, cluster_config_from_dict, convert, count, listed,
     ms_to_us, read_settings, section, validate_roster,
 )
 from ..workload import Workload, workload_from_dict
@@ -44,8 +44,6 @@ class Scenario:
     n: int
     rtt_us: list[list[int]]  # symmetric per-pair RTT, microseconds
     config: ClusterConfig
-    jitter_us: int = 0
-    drop_prob: float = 0.0
     client_local_rtt_us: int = 500
     drift_delta_us: int = 100_000
     drift_window_us: int = 2_500_000
@@ -110,8 +108,6 @@ _SCENARIO_KEYS = {
     "nodes": ("n", count),
     "rtt_ms": ("rtt_us", listed(listed(ms_to_us))),
     "config": ("config", lambda v: v),
-    "jitter_ms": ("jitter_us", ms_to_us),
-    "drop_prob": ("drop_prob", fraction),
     "client_local_rtt_ms": ("client_local_rtt_us", ms_to_us),
     "drift": ("drift", section({"delta_ms": ("drift_delta_us", ms_to_us),
                                 "window_ms": ("drift_window_us", ms_to_us)})),

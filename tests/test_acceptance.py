@@ -229,7 +229,7 @@ def test_c07_stable_condition_conformance():
                         all(thresh[p] <= prefix for p in sub)
                         for sub in combinations(endowed, m)
                     )
-                    assert e.is_stable(prefix) == brute, (n, thresh, prefix)
+                    assert e.is_stable(prefix, 0) == brute, (n, thresh, prefix)
                     checked += 1
     elapsed = time.time() - t0
     assert elapsed < 10.0, elapsed

@@ -230,22 +230,34 @@ def engine_with(endowed: set[int], thresh: dict[int, int], n: int) -> LeaseEngin
 
 def test_stable_example_from_thresholds():
     e = engine_with({0, 1, 2, 3}, {0: 0, 1: 5, 2: 7, 3: 9}, n=5)
-    assert e.is_stable(7) is True
+    assert e.is_stable(7, 0) is True
     assert brute_force_stable({0, 1, 2, 3}, {0: 0, 1: 5, 2: 7, 3: 9}, 3, 7)
 
 
 def test_stable_too_few_grants():
     e = engine_with({0, 1}, {0: 0, 1: 0}, n=5)
-    assert e.is_stable(100) is False
+    assert e.is_stable(100, 0) is False
 
 
 def test_stable_threshold_gate():
     # majority of grants held but the committed prefix is below every
     # m-subset's threshold requirement
     e = engine_with({0, 1, 2}, {0: 4, 1: 5, 2: 6}, n=5)
-    assert e.is_stable(3) is False
-    assert e.is_stable(5) is False  # the only size-3 subset requires prefix >= 6
-    assert e.is_stable(6) is True
+    assert e.is_stable(3, 0) is False
+    assert e.is_stable(5, 0) is False  # the only size-3 subset requires prefix >= 6
+    assert e.is_stable(6, 0) is True
+
+
+def test_a_grant_counts_only_until_its_deadline():
+    """A grant whose expiry timer has not fired yet no longer counts once
+    `now` is past its deadline, for the majority and for the thresholds."""
+    e = engine_with({0, 1, 2, 3}, {0: 0, 1: 5, 2: 7, 3: 9}, n=5)
+    e.endowed.update({0: 100, 1: 200})
+    assert e.is_stable(7, 100) is True
+    assert e.is_stable(7, 101) is False  # grant 0 is out: the third threshold is 9
+    assert e.is_stable(9, 101) is True
+    assert e.is_stable(9, 201) is False  # two grants of the three needed
+    assert e.is_stable(7, 100) is True
 
 
 def test_stable_matches_brute_force_exhaustive():
@@ -257,5 +269,5 @@ def test_stable_matches_brute_force_exhaustive():
                 thresh = dict(zip(sorted(endowed), vals))
                 e = engine_with(endowed, thresh, n)
                 for prefix in range(3):
-                    assert e.is_stable(prefix) == brute_force_stable(endowed, thresh, m, prefix), (
-                        n, endowed, thresh, prefix)
+                    want = brute_force_stable(endowed, thresh, m, prefix)
+                    assert e.is_stable(prefix, 0) == want, (n, endowed, thresh, prefix)

@@ -9,9 +9,11 @@ serve for b"k".
 import pytest
 
 from bodega.log import ConsensusLog
-from bodega.messages import ClientRedirect, ClientWriteReply
+from bodega.messages import ClientRedirect, ClientUnavailable, ClientWriteReply
 from bodega.model import Ballot, Command, full_range_roster
-from bodega.reads import HELD, ClientCache, ClientDone, ClientSend, ClientSession, read_at
+from bodega.reads import (
+    HELD, ClientArm, ClientCache, ClientDone, ClientSend, ClientSession, read_at,
+)
 
 B1 = Ballot(1, 0)
 ROSTER = full_range_roster(0, {1, 2})
@@ -105,3 +107,37 @@ def test_redirects_are_capped_per_timer_round_not_per_op():
         followed += 1
     assert followed > 2 * cache.n
     assert sess.on_msg(ClientWriteReply(1, B1), now) == [ClientDone("ok", None)]
+
+
+def test_an_unavailable_reply_sends_nothing_and_the_timer_retries():
+    """A node that knows no leader answers ClientUnavailable: the session
+    waits for its timer, which sends the put on to the next node."""
+    _cache, sess = _write_session()
+    sess.begin()
+    assert sess.on_msg(ClientUnavailable(1), 1_000) == []
+    outs = sess.on_timer(60_000)
+    assert [type(o) for o in outs] == [ClientSend, ClientArm]
+    assert outs[0].target == 1 and not sess.done
+
+
+def test_a_reply_after_the_session_is_done_changes_nothing():
+    cache, sess = _write_session()
+    sess.begin()
+    assert sess.on_msg(ClientWriteReply(1, B1), 1_000) == [ClientDone("ok", None)]
+    before = (list(sess.contacted), sess.redirects, sess.sent_at, cache.leader_rtt)
+    assert sess.on_msg(ClientWriteReply(1, B1), 2_000) == []
+    assert sess.on_msg(ClientRedirect(1, 2, B1), 2_000) == []
+    assert sess.on_timer(60_000) == []
+    assert (sess.contacted, sess.redirects, sess.sent_at, cache.leader_rtt) == before
+
+
+def test_redirects_end_the_op_after_2n_of_them_in_one_timer_round():
+    """Node ids outside the cluster are never tried, so each redirect to
+    one is followed, until the one after the 2n-th ends the op."""
+    cache, sess = _write_session()
+    sess.begin()
+    for k in range(2 * cache.n):
+        outs = sess.on_msg(ClientRedirect(1, cache.n + k, B1), 1_000)
+        assert outs[0].target == cache.n + k and not sess.done
+    outs = sess.on_msg(ClientRedirect(1, 3 * cache.n, B1), 1_000)
+    assert outs == [ClientDone("redirected", None)] and sess.done

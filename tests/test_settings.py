@@ -28,7 +28,7 @@ SCENARIO = {
                "delta_ms": 30, "batch_ms": 1, "unhold_floor_ms": 45, "tune_window_ms": 800,
                "hb_fail_jitter": 0.1, "snapshot_every": 3, "auto_tune": False,
                "early_notes": True},
-    "jitter_ms": 1, "drop_prob": 0.01, "client_local_rtt_ms": 0.5,
+    "client_local_rtt_ms": 0.5,
     "drift": {"delta_ms": 30, "window_ms": 600},
     "initial_roster": dict(ROSTER, announcer=0, at_ms=10),
     "workload": WORKLOAD,
@@ -62,6 +62,15 @@ def test_every_key_loads():
     assert [e.kind for e in sc.script] == ["crash", "partition", "roster_set", "write", "read"]
     assert node_config_from_dict(NODE).cluster == sc.config
     assert workload_from_dict({}, 3) == Workload()
+
+
+@pytest.mark.parametrize("key", ["jitter_ms", "drop_prob"])
+def test_a_scenario_perturbs_messages_only_by_its_delays(key):
+    """The simulator has no jitter or loss: a scenario that asks for
+    either is refused as an unknown setting, even at 0."""
+    with pytest.raises(ScenarioError) as e:
+        scenario_from_dict(dict(SCENARIO, **{key: 0}))
+    assert (e.value.field, str(e.value)) == (key, f"{key}: unknown setting")
 
 
 @pytest.mark.parametrize("key,value", [
@@ -117,7 +126,7 @@ json_values = st.recursive(
     max_leaves=6)
 
 
-# 200 derandomized examples, each feeding the three readers 317 documents: about 5 s
+# 200 derandomized examples, each feeding the three readers 313 documents: about 5 s
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(edge_values | json_values, json_values)
 def test_readers_are_total(value, doc):

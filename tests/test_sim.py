@@ -1,5 +1,5 @@
 """Simulator contracts: determinism, clock drift bound, scenario validation,
-the basic network model semantics, and recorded traces."""
+partitions in the delay rule, and recorded traces."""
 import dataclasses
 import hashlib
 import json
@@ -11,7 +11,7 @@ from bodega.messages import Accept
 from bodega.node import Node
 from bodega.service.config import ConfigError, node_config_from_dict
 from bodega.sim.explore import _configs
-from bodega.sim.harness import ClockModel, NetworkModel, Simulation, run_scenario
+from bodega.sim.harness import ClockModel, Simulation, run_scenario
 from bodega.sim.scenario import (
     ScenarioError,
     latency_expectation,
@@ -88,17 +88,23 @@ def test_clock_monotone_and_inverse():
 
 
 def test_partition_blocks_and_heals():
-    sc = scenario_from_dict(SYM20)
-    sim = Simulation(sc, seed=1)
-    net = sim.net
-    assert net.delay(0, 2) is not None
-    net.set_partition(((0, 1), (2, 3, 4)))
-    assert net.delay(0, 2) is None
-    assert net.delay(0, 1) is not None
-    assert net.delay(2, 4) is not None
-    assert net.client_delay(0, 2) is None
-    net.set_partition(None)
-    assert net.delay(0, 2) is not None
+    """SYM20 partitioned into {0, 1} and {2, 3, 4} from 100 to 200 ms,
+    read before, during and after: a client at site 0 reaches node 2 as
+    node 0 does, and its co-located hop stays open."""
+    sc = scenario_from_dict(dict(SYM20, events=[
+        {"at_ms": 100, "partition": {"groups": [[0, 1], [2, 3, 4]], "heal_ms": 200}}]))
+
+    def sim_at(ms: int) -> Simulation:
+        sim = Simulation(sc, seed=1)
+        sim.run(until=ms * 1000)
+        return sim
+    assert sim_at(50).delay(0, 2) is not None
+    sim = sim_at(150)
+    assert sim.delay(0, 2) is None
+    assert sim.delay(0, 1) is not None
+    assert sim.delay(2, 4) is not None
+    assert sim.delay(0, 0) == sc.one_way_us(0, 0) > 0
+    assert sim_at(250).delay(0, 2) is not None
 
 
 def test_scenario_validation_errors_name_field():
@@ -218,7 +224,7 @@ def test_crash_stops_node():
 def _isolated_and_always_stable(sim):
     """Node 1 never hears the roster, so it stays at ballot (0, 0), and it
     believes itself stable throughout."""
-    sim.nodes[1].is_stable = lambda: True
+    sim.nodes[1].is_stable = lambda now: True
 
 
 def _forge(sim, node_id, accepts: bool):
@@ -274,7 +280,7 @@ def test_all_stable_is_recorded_at_the_first_node_event_after_a_crash():
     crashes; the simulator records that at its next node event."""
     d = dict(SYM20, events=[{"at_ms": 800, "crash": 1}])
     sim = Simulation(scenario_from_dict(d), 4, monitors=True)
-    sim.nodes[1].is_stable = lambda: False
+    sim.nodes[1].is_stable = lambda now: False
     after_crash = []
     for node in sim.nodes:
         def handle(ev, now, inner=node.handle):

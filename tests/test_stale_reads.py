@@ -11,6 +11,9 @@ C: an acceptor joined a higher ballot while its lease grants for its own were
 D: a snapshot catch-up shipped request ids applied above its snapshot point,
    so the receiver skipped those writes as duplicates when it executed them
    (snapshots on; staged in test_log.py and test_node.py).
+E: a responder whose host ran late counted its grants until their expiry
+   timers fired, not until their deadlines, and served a read from before a
+   write the others committed once those grants had run out.
 
 The fix for C makes a failover wait out the old grants, as the paper's
 failure-change bound says it must; the last two tests cover what that longer
@@ -20,7 +23,9 @@ from collections import deque
 
 import pytest
 
-from bodega.events import ClientRequest, Deliver, OperatorRequest, Reply, Send, TimerFire
+from bodega.events import (
+    ArmTimer, CancelTimer, ClientRequest, Deliver, OperatorRequest, Reply, Send, TimerFire,
+)
 from bodega.lincheck import check
 from bodega.messages import (
     Accept,
@@ -193,6 +198,80 @@ def test_c_no_accept_above_own_ballot_while_grants_are_live():
     c.sent.clear()
     c.deliver(1, 2, accept)
     assert AcceptReply(higher, 1) in [o.msg for i, o in c.sent if i == 1]
+
+
+class ClockedCluster:
+    """n cores on one clock, each with its timers: a message is delivered at
+    once, in FIFO order, and `advance` fires the due timers in deadline
+    order. A paused node's host handles nothing, and what is sent to it is
+    lost."""
+
+    def __init__(self, n: int, leader: int, responders: set[int]) -> None:
+        self.nodes = [Node(i, ClusterConfig(n=n)) for i in range(n)]
+        self.timers: list[dict] = [{} for _ in range(n)]
+        self.now = 0
+        self.paused: set[int] = set()
+        self.queue: deque = deque()
+        self.replies: list[Reply] = []
+        for i, node in enumerate(self.nodes):
+            self._apply(i, node.start(0))
+        self.handle(leader, OperatorRequest("roster_set", "op",
+                                            full_range_roster(leader, responders)))
+
+    def _apply(self, i: int, outs: list) -> None:
+        for o in outs:
+            if type(o) is Send:
+                self.queue.append((o.to, i, o.msg))
+            elif type(o) is ArmTimer:
+                self.timers[i][o.key] = o.deadline
+            elif type(o) is CancelTimer:
+                self.timers[i].pop(o.key, None)
+            elif type(o) is Reply:
+                self.replies.append(o)
+
+    def handle(self, i: int, ev) -> None:
+        self._apply(i, self.nodes[i].handle(ev, self.now))
+        while self.queue:
+            to, frm, msg = self.queue.popleft()
+            if to not in self.paused:
+                self._apply(to, self.nodes[to].handle(Deliver(frm, msg), self.now))
+
+    def advance(self, until: int) -> None:
+        while True:
+            due = [(at, i, key) for i, timers in enumerate(self.timers) if i not in self.paused
+                   for key, at in timers.items() if at <= until]
+            if not due:
+                break
+            at, i, key = min(due, key=lambda d: d[:2])
+            del self.timers[i][key]
+            self.now = max(self.now, at)
+            self.handle(i, TimerFire(key))
+        self.now = until
+
+
+def test_e_a_late_host_counts_its_grants_until_their_deadlines():
+    """Responder 2's host pauses for 5 s. Nodes 0 and 1 time it out, wait
+    out its grants, adopt a roster without it and commit k=B. Node 2 then
+    handles a get of k before its overdue expiry timers, as an asyncio host
+    does after a stall: its grants are past their deadlines, so it must not
+    serve k=A locally."""
+    c = ClockedCluster(3, leader=0, responders={1, 2})
+    c.advance(3_000_000)
+    c.handle(0, ClientRequest(put(b"k", b"A", "w1")))
+    c.advance(3_200_000)
+    node2 = c.nodes[2]
+    assert node2.is_stable() and node2.log.read_value(b"k") == b"A"
+    c.paused.add(2)
+    c.advance(7_900_000)
+    leader = c.nodes[0].ros.leader
+    assert c.nodes[0].bal > node2.bal and 2 not in c.nodes[0].ros.special_nodes()
+    c.handle(leader, ClientRequest(put(b"k", b"B", "w2")))
+    c.advance(8_200_000)
+    assert [type(o.msg) for o in c.replies if o.client == "w2"] == [ClientWriteReply]
+    c.paused.discard(2)
+    assert node2.leases.endowed and max(node2.leases.endowed.values()) < c.now
+    outs = node2.handle(ClientRequest(Command("get", b"k", None, "g1", 1)), c.now)
+    assert [type(o.msg) for o in outs] == [ClientRedirect], outs
 
 
 def test_nack_naming_own_ballot_does_not_stop_the_step_up():
